@@ -32,9 +32,17 @@ std::string run_cli(const std::string& args, int* exit_code) {
   return out;
 }
 
+/// A temp path private to the running test: ctest runs every test in
+/// its own process, in parallel, so shared fixture paths would race.
+std::string temp_path(const std::string& name) {
+  return ::testing::TempDir() +
+         ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+         "_" + name;
+}
+
 std::string write_fixture(const std::string& name,
                           const std::string& content) {
-  const std::string path = ::testing::TempDir() + name;
+  const std::string path = temp_path(name);
   std::ofstream os(path);
   os << content;
   return path;
@@ -170,7 +178,7 @@ TEST(TraceInspectCli, ExportMergesSpansAndPackets) {
 }
 
 TEST(TraceInspectCli, ExportWritesOutputFile) {
-  const std::string dest = ::testing::TempDir() + "ti_export_out.json";
+  const std::string dest = temp_path("ti_export_out.json");
   std::remove(dest.c_str());
   int code = -1;
   run_cli("export -o " + dest + " " + span_fixture(), &code);
