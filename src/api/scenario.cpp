@@ -1,19 +1,13 @@
 #include "api/scenario.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <cstdlib>
-#include <filesystem>
-#include <fstream>
-#include <iostream>
 #include <map>
 #include <memory>
-#include <optional>
-#include <sstream>
 #include <stdexcept>
+#include <string>
 
+#include "api/run.hpp"
 #include "sim/context.hpp"
-#include "stats/incident.hpp"
 
 namespace hwatch::api {
 
@@ -132,545 +126,154 @@ std::size_t ScenarioResults::incomplete_short_flows() const {
   return n;
 }
 
-namespace {
-
-/// Installs HWatch on every host; returns the owning vector.
-std::vector<std::unique_ptr<core::HypervisorShim>> install_shims(
-    net::Network& net, const core::HWatchConfig& cfg, sim::Rng& rng) {
-  std::vector<std::unique_ptr<core::HypervisorShim>> shims;
-  shims.reserve(net.hosts().size());
-  for (net::Host* host : net.hosts()) {
-    shims.push_back(core::install_hwatch(net, *host, cfg, rng.fork()));
-  }
-  return shims;
-}
-
-ShimAggregate aggregate_shims(
-    const std::vector<std::unique_ptr<core::HypervisorShim>>& shims) {
-  ShimAggregate agg;
-  for (const auto& s : shims) {
-    agg.probes_injected += s->stats().probes_injected;
-    agg.probe_bytes_injected += s->stats().probe_bytes_injected;
-    agg.synacks_rewritten += s->stats().synacks_rewritten;
-    agg.acks_rewritten += s->stats().acks_rewritten;
-    agg.window_decisions += s->stats().window_decisions;
-    agg.flows_tracked += s->flow_table().created();
-  }
-  return agg;
-}
-
-// ---- observability wiring -------------------------------------------
-//
-// Everything below runs only when metrics collection is on (config flag
-// or HWATCH_METRICS_DIR); the default path does none of this, so the
-// simulator's hot loop is untouched.
-
-sim::Json aqm_json(const AqmConfig& a) {
-  sim::Json j = sim::Json::object();
-  j.set("kind", to_string(a.kind));
-  j.set("buffer_packets", a.buffer_packets);
-  j.set("mark_threshold_packets", a.mark_threshold_packets);
-  j.set("byte_mode", a.byte_mode);
-  return j;
-}
-
-/// Attaches the bottleneck depth histogram and registers the live
-/// gauges the MetricsSampler snapshots every sample interval.  Gauge
-/// closures reference scenario-scope objects; the sampler only fires
-/// inside run_until, while they are all alive.
-void wire_gauges(
-    sim::SimContext& ctx, net::Link& bottleneck, std::uint64_t buffer_pkts,
-    const net::Network& net, const workload::TrafficManager& tm,
-    const std::vector<std::unique_ptr<core::HypervisorShim>>& shims) {
-  sim::MetricsRegistry& m = ctx.metrics();
-  const double width =
-      std::max(1.0, static_cast<double>(buffer_pkts) / 25.0);
-  bottleneck.qdisc().attach_depth_histogram(&m.histogram(
-      "queue.bottleneck.depth_pkts",
-      sim::Histogram::linear_bounds(0, width, 26)));
-  m.register_gauge("hwatch.flow_table_entries", [&shims] {
-    std::size_t n = 0;
-    for (const auto& s : shims) n += s->flow_table().size();
-    return static_cast<double>(n);
-  });
-  m.register_gauge("net.queued_pkts_total", [&net] {
-    std::size_t n = 0;
-    for (const auto& l : net.links()) n += l->qdisc().len_packets();
-    return static_cast<double>(n);
-  });
-  m.register_gauge("queue.bottleneck.depth_bytes", [&bottleneck] {
-    return static_cast<double>(bottleneck.qdisc().len_bytes());
-  });
-  m.register_gauge("queue.bottleneck.depth_pkts", [&bottleneck] {
-    return static_cast<double>(bottleneck.qdisc().len_packets());
-  });
-  m.register_gauge("tcp.bytes_in_flight", [&tm] {
-    return static_cast<double>(tm.total_bytes_in_flight());
-  });
-}
-
-/// Registers every switch queue with the incident detector under its
-/// owning link's (globally stable) name.  Call after the topology is
-/// built and before the run.
-void wire_incidents(const net::Network& net,
-                    stats::IncidentDetector& doctor) {
-  for (const auto& l : net.links()) {
-    const std::uint32_t id =
-        doctor.register_queue(l->name(), l->qdisc().capacity_packets());
-    l->qdisc().attach_incident_sink(&doctor, id);
-  }
-}
-
-/// End-of-run harvest: quantities that already have cheap always-on
-/// aggregates (QueueStats, scheduler totals, per-flow records) become
-/// registry counters/histograms here, at zero hot-path cost.  Returns
-/// the completed-flow FCT percentiles for the results section.
-stats::Percentiles harvest_metrics(sim::SimContext& ctx,
-                                   const ScenarioResults& res) {
-  sim::MetricsRegistry& m = ctx.metrics();
-  const net::QueueStats& q = res.bottleneck_queue;
-  m.counter("queue.bottleneck.enqueued").inc(q.enqueued);
-  m.counter("queue.bottleneck.dequeued").inc(q.dequeued);
-  m.counter("queue.bottleneck.dropped").inc(q.dropped);
-  m.counter("queue.bottleneck.ecn_marked").inc(q.ecn_marked);
-  m.counter("net.fabric_drops").inc(res.fabric_drops);
-  m.counter("tcp.retransmits").inc(res.retransmits);
-  m.counter("tcp.timeouts").inc(res.timeouts);
-  const sim::Scheduler& sched = ctx.scheduler();
-  m.counter("sched.events.executed").inc(sched.executed());
-  m.counter("sched.events.scheduled").inc(sched.scheduled());
-  m.counter("sched.events.cancelled").inc(sched.cancelled());
-  m.counter("sched.heap_peak").inc(sched.heap_peak());
-  sim::Histogram& fct = m.histogram(
-      "tcp.fct_ms", sim::Histogram::exponential_bounds(0.05, 2.0, 18));
-  for (const auto& r : res.records) {
-    if (r.completed) fct.record(r.fct_ms());
-  }
-  return stats::percentiles(fct);
-}
-
-sim::Json results_json(const ScenarioResults& res) {
-  sim::Json j = sim::Json::object();
-  j.set("flows", res.records.size());
-  std::size_t completed = 0;
-  for (const auto& r : res.records) completed += r.completed ? 1 : 0;
-  j.set("completed_flows", completed);
-  j.set("incomplete_short_flows", res.incomplete_short_flows());
-  j.set("fabric_drops", res.fabric_drops);
-  j.set("retransmits", res.retransmits);
-  j.set("timeouts", res.timeouts);
-  j.set("events_executed", res.events_executed);
-  j.set("mean_utilization", res.mean_utilization());
-  sim::Json q = sim::Json::object();
-  q.set("enqueued", res.bottleneck_queue.enqueued);
-  q.set("dequeued", res.bottleneck_queue.dequeued);
-  q.set("dropped", res.bottleneck_queue.dropped);
-  q.set("ecn_marked", res.bottleneck_queue.ecn_marked);
-  q.set("max_len_pkts", res.bottleneck_queue.max_len_pkts);
-  j.set("bottleneck_queue", std::move(q));
-  sim::Json s = sim::Json::object();
-  s.set("probes_injected", res.shim.probes_injected);
-  s.set("probe_bytes_injected", res.shim.probe_bytes_injected);
-  s.set("synacks_rewritten", res.shim.synacks_rewritten);
-  s.set("acks_rewritten", res.shim.acks_rewritten);
-  s.set("window_decisions", res.shim.window_decisions);
-  s.set("flows_tracked", res.shim.flows_tracked);
-  j.set("shim", std::move(s));
-  return j;
-}
-
-sim::Json series_json(const stats::MetricsSampler& sampler) {
-  std::vector<const stats::MetricsSampler::GaugeSeries*> sorted;
-  sorted.reserve(sampler.series().size());
-  for (const auto& g : sampler.series()) sorted.push_back(&g);
-  std::sort(sorted.begin(), sorted.end(),
-            [](const auto* a, const auto* b) { return a->name < b->name; });
-  sim::Json out = sim::Json::object();
-  for (const auto* g : sorted) {
-    sim::Json arr = sim::Json::array();
-    for (const auto& p : g->series) {
-      sim::Json point = sim::Json::array();
-      point.push_back(sim::Json(p.time));
-      point.push_back(sim::Json(p.value));
-      arr.push_back(std::move(point));
-    }
-    out.set(g->name, std::move(arr));
-  }
-  return out;
-}
-
-/// Harvests, snapshots and (when HWATCH_METRICS_DIR is set) writes the
-/// manifest for one finished run.
-void finish_manifest(ScenarioResults& res, sim::SimContext& ctx,
-                     const std::string& label, const char* kind,
-                     std::uint64_t seed, sim::Json config,
-                     const stats::MetricsSampler& sampler,
-                     double wall_ms, const char* metrics_dir,
-                     const stats::IncidentDetector* doctor = nullptr) {
-  const stats::Percentiles fct = harvest_metrics(ctx, res);
-  sim::RunManifest& man = res.manifest;
-  man.name = label.empty()
-                 ? std::string(kind) + "-seed" + std::to_string(seed)
-                 : label;
-  man.scenario_kind = kind;
-  man.seed = seed;
-  man.config = std::move(config);
-  man.results = results_json(res);
-  man.results.set("fct_ms_percentiles", stats::percentiles_json(fct));
-  if (doctor != nullptr) {
-    man.incidents = stats::incidents_json(doctor->incidents());
-  }
-  man.metrics = sim::metrics_json(ctx.metrics().snapshot());
-  man.series = series_json(sampler);
-  man.wall_time_ms = wall_ms;
-  res.has_manifest = true;
-  if (metrics_dir != nullptr && man.write_file(metrics_dir).empty()) {
-    throw std::runtime_error(
-        std::string("HWATCH_METRICS_DIR=\"") + metrics_dir +
-        "\": cannot create the directory or write the manifest file; "
-        "point HWATCH_METRICS_DIR at a writable path");
-  }
-}
-
-/// Label shared by the manifest and the trace files.
-std::string run_label_of(const std::string& label, const char* kind,
-                         std::uint64_t seed) {
-  return label.empty()
-             ? std::string(kind) + "-seed" + std::to_string(seed)
-             : label;
-}
-
-/// Closes open spans, harvests the flow timeline and serializes both
-/// trace forms; writes them under `trace_dir` when set.  Runs after the
-/// scheduler stops, so none of this touches the hot path.
-void finish_tracing(ScenarioResults& res, sim::SimContext& ctx,
-                    const std::string& label, const char* trace_dir) {
-  ctx.tracer().close_open_spans(ctx.now());
-  res.timeline = stats::FlowTimeline::build(ctx.tracer());
-  res.has_timeline = true;
-  std::ostringstream spans;
-  ctx.tracer().dump_jsonl(spans);
-  res.trace_spans_jsonl = spans.str();
-  std::ostringstream chrome;
-  ctx.tracer().export_chrome(chrome, label);
-  res.trace_chrome = chrome.str();
-  if (trace_dir == nullptr) return;
-
-  const std::string stem = sim::RunManifest::sanitize(label);
-  std::error_code ec;
-  std::filesystem::create_directories(trace_dir, ec);
-  const auto write = [&](const char* suffix, const std::string& body) {
-    const std::filesystem::path path =
-        std::filesystem::path(trace_dir) / (stem + suffix);
-    std::ofstream out(path, std::ios::binary);
-    out << body;
-    if (!out) {
-      throw std::runtime_error(
-          std::string("HWATCH_TRACE_DIR=\"") + trace_dir +
-          "\": cannot create the directory or write \"" + path.string() +
-          "\"; point HWATCH_TRACE_DIR at a writable path");
-    }
-  };
-  write(".spans.jsonl", res.trace_spans_jsonl);
-  write(".trace.json", res.trace_chrome);
-}
-
-/// Prints the self-profiler report (stderr: wall times never belong in
-/// result streams).
-void finish_profile(const sim::SimContext& ctx, std::uint64_t run_wall_ns) {
-  const sim::Scheduler& sched = ctx.scheduler();
-  sim::EventLoopStats loop;
-  loop.events_executed = sched.executed();
-  loop.events_scheduled = sched.scheduled();
-  loop.heap_peak = sched.heap_peak();
-  loop.wall_ns = run_wall_ns;
-  ctx.profiler().report(std::cerr, &loop);
-}
-
-// Wall-clock time feeds only the manifest `environment` section, which
-// RunManifest::deterministic_dump() excludes — simulated time and every
-// result field stay seed-derived.
-using WallClock = std::chrono::steady_clock;  // hwlint: allow(nondeterminism)
-
-double wall_ms_since(WallClock::time_point t0) {
-  return std::chrono::duration<double, std::milli>(WallClock::now() - t0)
-      .count();
-}
-
-/// True when `name` is set to anything but "" or "0".
-bool env_flag(const char* name) {
-  const char* raw = std::getenv(name);
-  return raw != nullptr && *raw != '\0' &&
-         !(raw[0] == '0' && raw[1] == '\0');
-}
-
-}  // namespace
 
 ScenarioResults run_dumbbell(const DumbbellScenarioConfig& cfg) {
-  const char* metrics_dir = std::getenv("HWATCH_METRICS_DIR");
-  const bool detect = cfg.detect_incidents || env_flag("HWATCH_INCIDENTS");
-  const bool collect =
-      cfg.collect_metrics || metrics_dir != nullptr || detect;
-  const char* trace_dir = std::getenv("HWATCH_TRACE_DIR");
-  const bool trace = cfg.trace_spans || trace_dir != nullptr;
-  const bool profile = cfg.profile || env_flag("HWATCH_PROFILE");
-  const WallClock::time_point wall0 = WallClock::now();
-
-  sim::SimContext ctx(cfg.seed);
-  if (collect) ctx.metrics().set_enabled(true);
-  if (trace) ctx.tracer().set_enabled(true);
-  if (profile) ctx.profiler().set_enabled(true);
-  sim::Scheduler& sched = ctx.scheduler();
-  net::Network net(ctx);
-  sim::Rng& rng = ctx.rng();
-
-  topo::DumbbellConfig topo_cfg;
-  topo_cfg.pairs = cfg.pairs;
-  topo_cfg.edge_rate = cfg.edge_rate;
-  topo_cfg.bottleneck_rate = cfg.bottleneck_rate;
-  topo_cfg.base_rtt = cfg.base_rtt;
-  topo_cfg.edge_qdisc = cfg.edge_aqm.make_factory(cfg.edge_rate);
-  topo_cfg.bottleneck_qdisc =
-      cfg.core_aqm.make_factory(cfg.bottleneck_rate);
-  topo::Dumbbell d = topo::build_dumbbell(net, topo_cfg);
-
-  std::unique_ptr<stats::IncidentDetector> doctor;
-  if (detect) {
-    doctor = std::make_unique<stats::IncidentDetector>();
-    ctx.set_incident_sink(doctor.get());
-    wire_incidents(net, *doctor);
-  }
-
-  std::vector<std::unique_ptr<core::HypervisorShim>> shims;
-  if (cfg.hwatch_enabled) {
-    shims = install_shims(net, cfg.hwatch, rng);
-  }
-
-  workload::TrafficManager tm(net);
   std::uint32_t long_count = 0;
   for (const auto& g : cfg.long_groups) long_count += g.count;
   std::uint32_t short_count = 0;
   for (const auto& g : cfg.short_groups) short_count += g.count;
   if (long_count + short_count > cfg.pairs) {
     throw std::invalid_argument(
-        "dumbbell scenario: more sources requested than host pairs");
+        "dumbbell scenario: pairs = " + std::to_string(cfg.pairs) +
+        " but long_groups and short_groups ask for " +
+        std::to_string(long_count + short_count) +
+        " sources; each source needs its own host pair");
   }
 
-  // Long flows use pairs [0, long_count); short flows the next range.
-  std::vector<net::Host*> long_srcs(d.left.begin(),
-                                    d.left.begin() + long_count);
-  std::vector<net::Host*> long_dsts(d.right.begin(),
-                                    d.right.begin() + long_count);
-  std::vector<net::Host*> short_srcs(
-      d.left.begin() + long_count,
-      d.left.begin() + long_count + short_count);
-  std::vector<net::Host*> short_dsts(
-      d.right.begin() + long_count,
-      d.right.begin() + long_count + short_count);
-
-  if (long_count > 0) {
-    workload::add_bulk_flows(tm, long_srcs, long_dsts, cfg.long_groups, 0,
-                             cfg.bulk_start_spread, rng);
-  }
-  if (short_count > 0) {
-    workload::add_incast_epochs(tm, short_srcs, short_dsts,
-                                cfg.short_groups, cfg.incast, rng);
-  }
-
-  auto queue_sampler = stats::make_queue_sampler(
-      sched, *d.bottleneck, cfg.sample_interval, cfg.duration);
-  stats::UtilizationSampler util_sampler(sched, *d.bottleneck,
-                                         cfg.sample_interval, cfg.duration);
-  stats::ThroughputSampler tput_sampler(sched, *d.bottleneck,
-                                        cfg.sample_interval, cfg.duration);
-
-  std::optional<stats::MetricsSampler> metrics_sampler;
-  if (collect) {
-    wire_gauges(ctx, *d.bottleneck, cfg.core_aqm.buffer_packets, net, tm,
-                shims);
-    metrics_sampler.emplace(ctx, cfg.sample_interval, cfg.duration);
-  }
-
-  std::uint64_t run_wall_ns = 0;
-  if (profile) {
-    const std::uint64_t t0 = ctx.profiler().now_ns();
-    sched.run_until(cfg.duration);
-    run_wall_ns = ctx.profiler().now_ns() - t0;
-  } else {
-    sched.run_until(cfg.duration);
-  }
-
-  ScenarioResults res;
-  res.records = tm.collect_records();
-  res.queue_packets = queue_sampler.series();
-  res.utilization = util_sampler.series();
-  res.throughput_gbps = tput_sampler.series();
-  res.bottleneck_queue = d.bottleneck->qdisc().stats();
-  res.fabric_drops = net.total_queue_drops();
-  res.retransmits = tm.total_retransmits();
-  res.timeouts = tm.total_timeouts();
-  res.events_executed = sched.executed();
-  res.shim = aggregate_shims(shims);
-  if (doctor) doctor->finalize(ctx.now());
-
-  if (collect) {
+  sim::SimContext ctx(cfg.seed);
+  net::Network net(ctx);
+  topo::Dumbbell d;
+  detail::ScenarioSpec spec = detail::spec_for("dumbbell", cfg);
+  spec.build = [&] {
+    topo::DumbbellConfig t;
+    t.pairs = cfg.pairs;
+    t.edge_rate = cfg.edge_rate;
+    t.bottleneck_rate = cfg.bottleneck_rate;
+    t.base_rtt = cfg.base_rtt;
+    t.edge_qdisc = cfg.edge_aqm.make_factory(cfg.edge_rate);
+    t.bottleneck_qdisc = cfg.core_aqm.make_factory(cfg.bottleneck_rate);
+    d = topo::build_dumbbell(net, t);
+    detail::ScenarioTopology topology;
+    topology.parts.push_back({&ctx, &net, {}});
+    topology.bottleneck = d.bottleneck;
+    topology.bottleneck_buffer_pkts = cfg.core_aqm.buffer_packets;
+    return topology;
+  };
+  spec.add_workload = [&](const detail::TrafficManagers& tms) {
+    // Long flows use pairs [0, long_count); short flows the next range.
+    const auto hosts = [](const std::vector<net::Host*>& side,
+                          std::uint32_t first, std::uint32_t count) {
+      return std::vector<net::Host*>(side.begin() + first,
+                                     side.begin() + first + count);
+    };
+    if (long_count > 0) {
+      workload::add_bulk_flows(*tms[0], hosts(d.left, 0, long_count),
+                               hosts(d.right, 0, long_count),
+                               cfg.long_groups, 0, cfg.bulk_start_spread,
+                               ctx.rng());
+    }
+    if (short_count > 0) {
+      workload::add_incast_epochs(
+          *tms[0], hosts(d.left, long_count, short_count),
+          hosts(d.right, long_count, short_count), cfg.short_groups,
+          cfg.incast, ctx.rng());
+    }
+  };
+  spec.config = [&] {
     sim::Json config = sim::Json::object();
     config.set("pairs", cfg.pairs);
     config.set("edge_rate_gbps", cfg.edge_rate.gbits_per_sec());
-    config.set("bottleneck_rate_gbps",
-               cfg.bottleneck_rate.gbits_per_sec());
+    config.set("bottleneck_rate_gbps", cfg.bottleneck_rate.gbits_per_sec());
     config.set("base_rtt_ps", cfg.base_rtt);
-    config.set("edge_aqm", aqm_json(cfg.edge_aqm));
-    config.set("core_aqm", aqm_json(cfg.core_aqm));
+    config.set("edge_aqm", detail::aqm_json(cfg.edge_aqm));
+    config.set("core_aqm", detail::aqm_json(cfg.core_aqm));
     config.set("hwatch_enabled", cfg.hwatch_enabled);
     config.set("duration_ps", cfg.duration);
     config.set("sample_interval_ps", cfg.sample_interval);
     config.set("seed", cfg.seed);
-    finish_manifest(res, ctx, cfg.run_label, "dumbbell", cfg.seed,
-                    std::move(config), *metrics_sampler,
-                    wall_ms_since(wall0), metrics_dir, doctor.get());
-  }
-  if (trace) {
-    finish_tracing(res, ctx,
-                   run_label_of(cfg.run_label, "dumbbell", cfg.seed),
-                   trace_dir);
-  }
-  if (profile) finish_profile(ctx, run_wall_ns);
-  return res;
+    return config;
+  };
+  return detail::run_scenario(spec);
 }
 
 ScenarioResults run_leaf_spine(const LeafSpineScenarioConfig& cfg) {
-  const char* metrics_dir = std::getenv("HWATCH_METRICS_DIR");
-  const bool detect = cfg.detect_incidents || env_flag("HWATCH_INCIDENTS");
-  const bool collect =
-      cfg.collect_metrics || metrics_dir != nullptr || detect;
-  const char* trace_dir = std::getenv("HWATCH_TRACE_DIR");
-  const bool trace = cfg.trace_spans || trace_dir != nullptr;
-  const bool profile = cfg.profile || env_flag("HWATCH_PROFILE");
-  const WallClock::time_point wall0 = WallClock::now();
+  if (cfg.racks < 2) {
+    throw std::invalid_argument(
+        "leaf-spine scenario: racks = " + std::to_string(cfg.racks) +
+        "; need >= 2 (the last rack receives, the others send)");
+  }
 
   sim::SimContext ctx(cfg.seed);
-  if (collect) ctx.metrics().set_enabled(true);
-  if (trace) ctx.tracer().set_enabled(true);
-  if (profile) ctx.profiler().set_enabled(true);
-  sim::Scheduler& sched = ctx.scheduler();
   net::Network net(ctx);
-  sim::Rng& rng = ctx.rng();
-
-  topo::LeafSpineConfig topo_cfg;
-  topo_cfg.racks = cfg.racks;
-  topo_cfg.hosts_per_rack = cfg.hosts_per_rack;
-  topo_cfg.host_rate = cfg.link_rate;
-  topo_cfg.uplink_rate = cfg.link_rate;
-  topo_cfg.base_rtt = cfg.base_rtt;
-  topo_cfg.edge_qdisc = cfg.edge_aqm.make_factory(cfg.link_rate);
-  topo_cfg.fabric_qdisc = cfg.fabric_aqm.make_factory(cfg.link_rate);
-  topo::LeafSpine t = topo::build_leaf_spine(net, topo_cfg);
-  if (cfg.racks < 2) {
-    throw std::invalid_argument("leaf-spine scenario needs >= 2 racks");
-  }
-
-  std::unique_ptr<stats::IncidentDetector> doctor;
-  if (detect) {
-    doctor = std::make_unique<stats::IncidentDetector>();
-    ctx.set_incident_sink(doctor.get());
-    wire_incidents(net, *doctor);
-  }
-
-  std::vector<std::unique_ptr<core::HypervisorShim>> shims;
-  if (cfg.hwatch_enabled) {
-    shims = install_shims(net, cfg.hwatch, rng);
-  }
-
-  workload::TrafficManager tm(net);
+  topo::LeafSpine t;
   const std::uint32_t recv_rack = cfg.racks - 1;
-
-  // Bulk flows: round-robin across the sending racks, all towards hosts
-  // in the receiving rack (the spine -> leaf[recv_rack] link is the
-  // bottleneck, as in the testbed).
-  std::vector<net::Host*> bulk_srcs;
-  for (std::uint32_t i = 0; i < cfg.bulk_flows; ++i) {
-    const std::uint32_t rack = i % recv_rack;
-    const auto& rack_hosts = t.hosts[rack];
-    bulk_srcs.push_back(rack_hosts[(i / recv_rack) % rack_hosts.size()]);
-  }
-  std::vector<net::Host*> bulk_dsts(t.hosts[recv_rack].begin(),
-                                    t.hosts[recv_rack].end());
-  if (cfg.bulk_flows > 0) {
-    workload::SenderGroup g = cfg.bulk_template;
-    g.count = cfg.bulk_flows;
-    workload::add_bulk_flows(tm, bulk_srcs, bulk_dsts, {g}, 0,
-                             sim::milliseconds(10), rng);
-  }
-
-  // Web servers: the first `web_servers_per_rack` hosts of every sending
-  // rack; clients: the first `web_clients` hosts of the receiving rack.
-  std::vector<net::Host*> servers;
-  for (std::uint32_t r = 0; r < recv_rack; ++r) {
-    for (std::uint32_t h = 0;
-         h < cfg.web_servers_per_rack && h < t.hosts[r].size(); ++h) {
-      servers.push_back(t.hosts[r][h]);
+  detail::ScenarioSpec spec = detail::spec_for("leaf_spine", cfg);
+  spec.build = [&] {
+    topo::LeafSpineConfig tc;
+    tc.racks = cfg.racks;
+    tc.hosts_per_rack = cfg.hosts_per_rack;
+    tc.host_rate = cfg.link_rate;
+    tc.uplink_rate = cfg.link_rate;
+    tc.base_rtt = cfg.base_rtt;
+    tc.edge_qdisc = cfg.edge_aqm.make_factory(cfg.link_rate);
+    tc.fabric_qdisc = cfg.fabric_aqm.make_factory(cfg.link_rate);
+    t = topo::build_leaf_spine(net, tc);
+    detail::ScenarioTopology topology;
+    topology.parts.push_back({&ctx, &net, {}});
+    // The spine -> receiving-leaf downlink (single spine).
+    topology.bottleneck = t.downlinks[recv_rack];
+    topology.bottleneck_buffer_pkts = cfg.fabric_aqm.buffer_packets;
+    return topology;
+  };
+  spec.add_workload = [&](const detail::TrafficManagers& tms) {
+    workload::TrafficManager& tm = *tms[0];
+    sim::Rng& rng = ctx.rng();
+    // Bulk flows: round-robin across the sending racks, all towards
+    // hosts in the receiving rack (the spine -> leaf[recv_rack] link is
+    // the bottleneck, as in the testbed).
+    std::vector<net::Host*> bulk_srcs;
+    for (std::uint32_t i = 0; i < cfg.bulk_flows; ++i) {
+      const auto& rack_hosts = t.hosts[i % recv_rack];
+      bulk_srcs.push_back(rack_hosts[(i / recv_rack) % rack_hosts.size()]);
     }
-  }
-  std::vector<net::Host*> clients;
-  for (std::uint32_t h = 0;
-       h < cfg.web_clients && h < t.hosts[recv_rack].size(); ++h) {
-    clients.push_back(t.hosts[recv_rack][h]);
-  }
-  if (cfg.web_pattern == LeafSpineScenarioConfig::WebPattern::kOpenWaves) {
-    workload::add_web_waves(tm, servers, clients, cfg.web_transport,
-                            cfg.web_tcp, cfg.web, rng);
-  } else {
-    workload::add_closed_loop_web(tm, servers, clients, cfg.web_transport,
-                                  cfg.web_tcp, cfg.closed_loop, rng);
-  }
+    if (cfg.bulk_flows > 0) {
+      workload::SenderGroup g = cfg.bulk_template;
+      g.count = cfg.bulk_flows;
+      workload::add_bulk_flows(tm, bulk_srcs, t.hosts[recv_rack], {g}, 0,
+                               sim::milliseconds(10), rng);
+    }
 
-  // Bottleneck: the spine -> receiving-leaf downlink (single spine).
-  net::Link* bottleneck = t.downlinks[recv_rack];
-  auto queue_sampler = stats::make_queue_sampler(
-      sched, *bottleneck, cfg.sample_interval, cfg.duration);
-  stats::UtilizationSampler util_sampler(sched, *bottleneck,
-                                         cfg.sample_interval, cfg.duration);
-  stats::ThroughputSampler tput_sampler(sched, *bottleneck,
-                                        cfg.sample_interval, cfg.duration);
-
-  std::optional<stats::MetricsSampler> metrics_sampler;
-  if (collect) {
-    wire_gauges(ctx, *bottleneck, cfg.fabric_aqm.buffer_packets, net, tm,
-                shims);
-    metrics_sampler.emplace(ctx, cfg.sample_interval, cfg.duration);
-  }
-
-  std::uint64_t run_wall_ns = 0;
-  if (profile) {
-    const std::uint64_t t0 = ctx.profiler().now_ns();
-    sched.run_until(cfg.duration);
-    run_wall_ns = ctx.profiler().now_ns() - t0;
-  } else {
-    sched.run_until(cfg.duration);
-  }
-
-  ScenarioResults res;
-  res.records = tm.collect_records();
-  res.queue_packets = queue_sampler.series();
-  res.utilization = util_sampler.series();
-  res.throughput_gbps = tput_sampler.series();
-  res.bottleneck_queue = bottleneck->qdisc().stats();
-  res.fabric_drops = net.total_queue_drops();
-  res.retransmits = tm.total_retransmits();
-  res.timeouts = tm.total_timeouts();
-  res.events_executed = sched.executed();
-  res.shim = aggregate_shims(shims);
-  if (doctor) doctor->finalize(ctx.now());
-
-  if (collect) {
+    // Web servers: the first `web_servers_per_rack` hosts of every
+    // sending rack; clients: the first `web_clients` hosts of the
+    // receiving rack.
+    std::vector<net::Host*> servers;
+    for (std::uint32_t r = 0; r < recv_rack; ++r) {
+      for (std::uint32_t h = 0;
+           h < cfg.web_servers_per_rack && h < t.hosts[r].size(); ++h) {
+        servers.push_back(t.hosts[r][h]);
+      }
+    }
+    std::vector<net::Host*> clients;
+    for (std::uint32_t h = 0;
+         h < cfg.web_clients && h < t.hosts[recv_rack].size(); ++h) {
+      clients.push_back(t.hosts[recv_rack][h]);
+    }
+    if (cfg.web_pattern == LeafSpineScenarioConfig::WebPattern::kOpenWaves) {
+      workload::add_web_waves(tm, servers, clients, cfg.web_transport,
+                              cfg.web_tcp, cfg.web, rng);
+    } else {
+      workload::add_closed_loop_web(tm, servers, clients, cfg.web_transport,
+                                    cfg.web_tcp, cfg.closed_loop, rng);
+    }
+  };
+  spec.config = [&] {
     sim::Json config = sim::Json::object();
     config.set("racks", cfg.racks);
     config.set("hosts_per_rack", cfg.hosts_per_rack);
     config.set("link_rate_gbps", cfg.link_rate.gbits_per_sec());
     config.set("base_rtt_ps", cfg.base_rtt);
-    config.set("edge_aqm", aqm_json(cfg.edge_aqm));
-    config.set("fabric_aqm", aqm_json(cfg.fabric_aqm));
+    config.set("edge_aqm", detail::aqm_json(cfg.edge_aqm));
+    config.set("fabric_aqm", detail::aqm_json(cfg.fabric_aqm));
     config.set("bulk_flows", cfg.bulk_flows);
     config.set("web_servers_per_rack", cfg.web_servers_per_rack);
     config.set("web_clients", cfg.web_clients);
@@ -683,17 +286,9 @@ ScenarioResults run_leaf_spine(const LeafSpineScenarioConfig& cfg) {
     config.set("duration_ps", cfg.duration);
     config.set("sample_interval_ps", cfg.sample_interval);
     config.set("seed", cfg.seed);
-    finish_manifest(res, ctx, cfg.run_label, "leaf_spine", cfg.seed,
-                    std::move(config), *metrics_sampler,
-                    wall_ms_since(wall0), metrics_dir, doctor.get());
-  }
-  if (trace) {
-    finish_tracing(res, ctx,
-                   run_label_of(cfg.run_label, "leaf_spine", cfg.seed),
-                   trace_dir);
-  }
-  if (profile) finish_profile(ctx, run_wall_ns);
-  return res;
+    return config;
+  };
+  return detail::run_scenario(spec);
 }
 
 }  // namespace hwatch::api

@@ -4,8 +4,8 @@
 // propagation delay).
 //
 // Where SweepRunner parallelizes ACROSS scenarios (one context per
-// sweep point), ShardedRunner parallelizes WITHIN one scenario.  The
-// same determinism contract carries over: the logical partition is
+// sweep point), run_fat_tree_sharded parallelizes WITHIN one scenario.
+// The same determinism contract carries over: the logical partition is
 // fixed by the topology, worker threads only execute it, so the
 // manifest and trace exports are byte-identical for every value of
 // `shards` / HWATCH_SHARDS.
@@ -15,7 +15,6 @@
 #include <string>
 
 #include "api/scenario.hpp"
-#include "sim/annotations.hpp"
 #include "topo/shard.hpp"
 
 namespace hwatch::api {
@@ -93,21 +92,5 @@ unsigned shards_from_env();
 /// stderr; HWATCH_FLIGHT_DUMP=1 forces a dump at end of run) — stays
 /// out of every deterministic artifact.
 ScenarioResults run_fat_tree_sharded(const FatTreeScenarioConfig& cfg);
-
-/// Thin fixed-thread-count front end, symmetric with SweepRunner.
-class HWATCH_SHARD_SHARED ShardedRunner {
- public:
-  /// `threads` = 0 resolves HWATCH_SHARDS at construction (1 when
-  /// unset).
-  explicit ShardedRunner(unsigned threads = 0);
-
-  unsigned threads() const { return threads_; }
-
-  /// Runs with this runner's thread count (overrides cfg.shards).
-  ScenarioResults run(FatTreeScenarioConfig cfg) const;
-
- private:
-  unsigned threads_;
-};
 
 }  // namespace hwatch::api

@@ -19,16 +19,6 @@ std::uint64_t mix_key(std::uint64_t hi, std::uint64_t lo) {
   return z ^ (z >> 31);
 }
 
-/// ts in Chrome traces is microseconds; picoseconds print as exact
-/// fixed-point micros (6 fractional digits), no floating point involved.
-void write_ts_us(std::ostream& os, TimePs t) {
-  char buf[40];
-  const auto v = static_cast<unsigned long long>(t);
-  std::snprintf(buf, sizeof(buf), "%llu.%06llu", v / 1000000ull,
-                v % 1000000ull);
-  os << buf;
-}
-
 void write_named_args(std::ostream& os, const SpanTracer::ArgNames& names,
                       const TraceEvent& ev, bool leading_comma) {
   const char* n[4] = {names.a, names.b, names.c, names.d};
@@ -48,6 +38,14 @@ void write_flow_name(std::ostream& os, const SpanTracer::FlowInfo& f) {
 }
 
 }  // namespace
+
+void write_ts_us(std::ostream& os, TimePs t) {
+  char buf[40];
+  const auto v = static_cast<unsigned long long>(t);
+  std::snprintf(buf, sizeof(buf), "%llu.%06llu", v / 1000000ull,
+                v % 1000000ull);
+  os << buf;
+}
 
 std::string_view to_string(SpanKind k) {
   switch (k) {
@@ -276,75 +274,6 @@ void SpanTracer::dump_jsonl(std::ostream& os) const {
   }
 }
 
-void SpanTracer::export_chrome(std::ostream& os,
-                               std::string_view process_name) const {
-  os << "{\"schema\":\"hwatch.trace_export/v1\",\"displayTimeUnit\":\"ms\""
-     << ",\"dropped_events\":" << dropped_ << ",\"traceEvents\":[";
-  bool first = true;
-  const auto emit_sep = [&] {
-    if (!first) os << ',';
-    first = false;
-    os << "\n";
-  };
-
-  emit_sep();
-  os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,"
-     << "\"args\":{\"name\":\"" << process_name << "\"}}";
-
-  // One Perfetto track per flow span; tid 0 collects unattributed events.
-  std::unordered_map<std::uint64_t, std::uint64_t> tid_of;
-  std::uint64_t next_tid = 1;
-  for (const FlowInfo& f : flows_) {
-    if (tid_of.emplace(f.span, next_tid).second) {
-      emit_sep();
-      os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":"
-         << next_tid << ",\"args\":{\"name\":\"";
-      write_flow_name(os, f);
-      os << "\"}}";
-      ++next_tid;
-    }
-  }
-
-  const auto tid_for = [&](std::uint64_t flow_span) -> std::uint64_t {
-    const auto it = tid_of.find(flow_span);
-    return it == tid_of.end() ? 0 : it->second;
-  };
-
-  for (const TraceEvent& ev : events_) {
-    emit_sep();
-    os << "{\"name\":\"" << to_string(ev.kind) << "\",\"cat\":\"span\""
-       << ",\"ph\":\"" << ev.phase << "\",\"ts\":";
-    write_ts_us(os, ev.t);
-    os << ",\"pid\":1,\"tid\":" << tid_for(ev.flow);
-    if (ev.phase == 'i') os << ",\"s\":\"t\"";
-    os << ",\"args\":{\"span\":" << ev.span << ",\"parent\":" << ev.parent;
-    write_named_args(os, arg_names(ev.kind), ev, /*leading_comma=*/true);
-    os << "}}";
-  }
-
-  // Per-flow latency decomposition, rendered as a final instant on each
-  // flow's track (timestamped at the last event so ts stays sorted).
-  const TimePs t_end = events_.empty() ? 0 : events_.back().t;
-  for (const FlowInfo& f : flows_) {
-    const LatencyAccum* acc = latency_of(f.span);
-    if (acc == nullptr) continue;
-    emit_sep();
-    os << "{\"name\":\"latency_breakdown\",\"cat\":\"latency\""
-       << ",\"ph\":\"i\",\"s\":\"t\",\"ts\":";
-    write_ts_us(os, t_end);
-    os << ",\"pid\":1,\"tid\":" << tid_for(f.span) << ",\"args\":{";
-    for (std::size_t c = 0; c < kLatencyComponents; ++c) {
-      const auto name = to_string(static_cast<LatencyComponent>(c));
-      if (c > 0) os << ',';
-      os << '"' << name << "_ps\":" << acc->total_ps[c] << ",\"" << name
-         << "_samples\":" << acc->samples[c];
-    }
-    os << "}}";
-  }
-
-  os << "\n]}\n";
-}
-
 void dump_jsonl_merged(const std::vector<const SpanTracer*>& parts,
                        std::ostream& os) {
   for (const SpanTracer* p : parts) p->dump_jsonl(os);
@@ -371,8 +300,9 @@ void export_chrome_merged(const std::vector<const SpanTracer*>& parts,
     const std::uint64_t pid = s + 1;
     emit_sep();
     os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << pid
-       << ",\"tid\":0,\"args\":{\"name\":\"" << process_name << "/shard" << s
-       << "\"}}";
+       << ",\"tid\":0,\"args\":{\"name\":\"" << process_name;
+    if (parts.size() > 1) os << "/shard" << s;
+    os << "\"}}";
     std::uint64_t next_tid = 1;
     for (const SpanTracer::FlowInfo& f : parts[s]->flows()) {
       if (tid_of[s].emplace(f.span, next_tid).second) {

@@ -176,10 +176,6 @@ class SpanTracer {
   /// ("ph":"B"/"E"/"i") and per-flow latency summaries ("ph":"L").
   void dump_jsonl(std::ostream& os) const;
 
-  /// Chrome trace-event JSON (schema `hwatch.trace_export/v1`): object
-  /// form with a sorted `traceEvents` array; loads directly in Perfetto.
-  void export_chrome(std::ostream& os, std::string_view process_name) const;
-
  private:
   struct OpenSpan {
     SpanKind kind = SpanKind::kFlow;
@@ -205,6 +201,11 @@ class SpanTracer {
       latency_hist_{};
 };
 
+/// Writes a picosecond time as exact fixed-point microseconds (six
+/// fractional digits, no floating point): the `ts` format of every
+/// Chrome trace export, so merged exports stay byte-deterministic.
+void write_ts_us(std::ostream& os, TimePs t);
+
 /// Merged JSONL dump for sharded runs: the per-shard sections in shard
 /// order (the order of `parts`, which the topology fixes), so the bytes
 /// are identical for every worker-thread count.  Span ids are globally
@@ -212,9 +213,13 @@ class SpanTracer {
 void dump_jsonl_merged(const std::vector<const SpanTracer*>& parts,
                        std::ostream& os);
 
-/// Merged Chrome export: one pid per shard (shard s -> pid s+1), all
-/// span events k-way merged by (timestamp, shard index) so `ts` stays
-/// globally sorted — the invariant the CI trace checker enforces.
+/// Chrome trace-event JSON (schema `hwatch.trace_export/v1`): object
+/// form with a sorted `traceEvents` array; loads directly in Perfetto.
+/// One pid per tracer (part s -> pid s+1, process name
+/// "<process_name>/shard<s>", or just `process_name` for a single
+/// tracer), all span events k-way merged by (timestamp, shard index) so
+/// `ts` stays globally sorted — the invariant the CI trace checker
+/// enforces.
 void export_chrome_merged(const std::vector<const SpanTracer*>& parts,
                           std::ostream& os, std::string_view process_name);
 

@@ -2,6 +2,9 @@
 // determinism, and the headline HWatch effect in miniature.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "api/scenario.hpp"
 
 namespace hwatch::api {
@@ -107,6 +110,39 @@ TEST(ScenarioTest, RejectsOversubscribedSources) {
   DumbbellScenarioConfig cfg = small_scenario();
   cfg.pairs = 4;  // but 8 sources requested
   EXPECT_THROW(run_dumbbell(cfg), std::invalid_argument);
+}
+
+/// The message of the std::invalid_argument `run` throws ("" if none).
+template <class Run>
+std::string invalid_argument_of(Run run) {
+  try {
+    run();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ScenarioTest, SourceCountIsCheckedBeforeTheTopology) {
+  // pairs = 0 would also fail inside the topology builder; the config
+  // check runs first and names the field.
+  DumbbellScenarioConfig cfg = small_scenario();
+  cfg.pairs = 0;
+  const std::string what = invalid_argument_of([&] { run_dumbbell(cfg); });
+  EXPECT_NE(what.find("pairs = 0"), std::string::npos) << what;
+  EXPECT_NE(what.find("8 sources"), std::string::npos) << what;
+}
+
+TEST(ScenarioTest, RackCountIsCheckedBeforeTheTopology) {
+  LeafSpineScenarioConfig cfg;
+  for (std::uint32_t racks : {0u, 1u}) {
+    cfg.racks = racks;
+    const std::string what =
+        invalid_argument_of([&] { run_leaf_spine(cfg); });
+    EXPECT_NE(what.find("racks = " + std::to_string(racks)),
+              std::string::npos)
+        << what;
+  }
 }
 
 TEST(ScenarioTest, HWatchReducesDropsUnderIncast) {

@@ -194,14 +194,19 @@ TEST(ShardedEnv, ShardsFromEnvValidation) {
 }
 
 TEST(ShardedEnv, RunnerResolvesEnv) {
+  // shards = 0 defers to HWATCH_SHARDS; the resolved worker count is
+  // recorded in the manifest's environment section.
+  api::FatTreeScenarioConfig cfg = small_config();
+  cfg.trace_spans = false;
+  cfg.duration = sim::milliseconds(2);
+  cfg.shards = 0;
   ::setenv("HWATCH_SHARDS", "2", 1);
-  const api::ShardedRunner runner;
-  EXPECT_EQ(runner.threads(), 2u);
+  const api::ScenarioResults res = api::run_fat_tree_sharded(cfg);
   ::unsetenv("HWATCH_SHARDS");
-  const api::ShardedRunner one;
-  EXPECT_EQ(one.threads(), 1u);
-  const api::ShardedRunner four(4);
-  EXPECT_EQ(four.threads(), 4u);
+  ASSERT_TRUE(res.has_manifest);
+  EXPECT_EQ(res.manifest.sweep_threads, 2u);
+  const api::ScenarioResults unset = api::run_fat_tree_sharded(cfg);
+  EXPECT_EQ(unset.manifest.sweep_threads, 1u);
 }
 
 }  // namespace

@@ -215,7 +215,7 @@ TEST(SpanTracer, ExportChromeIsValidAndBalanced) {
   tr.close_open_spans(4'000'000);
 
   std::ostringstream os;
-  tr.export_chrome(os, "unit");
+  export_chrome_merged({&tr}, os, "unit");
   std::string err;
   Json doc = Json::parse(os.str(), &err);
   ASSERT_TRUE(err.empty()) << err;
@@ -249,7 +249,7 @@ TEST(SpanTracer, ExportIsByteIdenticalAcrossIdenticalRuns) {
     tr.close_open_spans(9);
     std::ostringstream spans, chrome;
     tr.dump_jsonl(spans);
-    tr.export_chrome(chrome, "x");
+    export_chrome_merged({&tr}, chrome, "x");
     return std::make_pair(spans.str(), chrome.str());
   };
   const auto a = make();

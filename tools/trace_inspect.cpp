@@ -49,10 +49,12 @@
 #include <vector>
 
 #include "sim/json.hpp"
+#include "sim/trace_span.hpp"
 
 namespace {
 
 using hwatch::sim::Json;
+using hwatch::sim::write_ts_us;
 
 enum class Mode { kSummary, kFilter, kExport, kExplain };
 
@@ -272,16 +274,6 @@ void print_summary(const Summary& s) {
 }
 
 // ---- export: merged Chrome trace-event JSON ---------------------------
-
-/// Exact ps -> us fixed point (same formatting as SpanTracer's native
-/// export, so merged output stays byte-deterministic).
-void write_ts_us(std::ostream& os, std::uint64_t ps) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%llu.%06llu",
-                static_cast<unsigned long long>(ps / 1000000u),
-                static_cast<unsigned long long>(ps % 1000000u));
-  os << buf;
-}
 
 struct ExportLine {
   std::uint64_t t = 0;
