@@ -49,6 +49,9 @@ api::ScenarioResults run_variant(bool priority, bool hwatch_on,
     cfg.core_aqm.kind = api::AqmKind::kDropTail;
     cfg.edge_aqm = cfg.core_aqm;
   }
+  cfg.run_label = std::string("ext_priority-") +
+                  (heavy_shorts ? "heavy-" : "fig8-") +
+                  (priority ? "priority" : hwatch_on ? "hwatch" : "droptail");
   return api::run_dumbbell(cfg);
 }
 

@@ -27,6 +27,9 @@ api::ScenarioResults run_variant(bool sack, bool limited_transmit) {
   t.limited_transmit = limited_transmit;
   cfg.long_groups = {{tcp::Transport::kNewReno, t, 25, "tcp"}};
   cfg.short_groups = {{tcp::Transport::kNewReno, t, 25, "tcp"}};
+  cfg.run_label = std::string("ext_sack_incast-") +
+                  (sack ? (limited_transmit ? "sack-lt" : "sack")
+                        : (limited_transmit ? "lt" : "stock"));
   return api::run_dumbbell(cfg);
 }
 
@@ -54,8 +57,10 @@ int main() {
   add("+ SACK", run_variant(true, false));
   add("+ limited transmit", run_variant(false, true));
   add("+ SACK + LT", run_variant(true, true));
-  add("HWatch (stock guests)",
-      bench::run_scheme(bench::Scheme::kTcpHWatch, 50));
+  api::DumbbellScenarioConfig hwatch =
+      bench::scheme_config(bench::Scheme::kTcpHWatch, 50);
+  hwatch.run_label = "ext_sack_incast-hwatch";
+  add("HWatch (stock guests)", api::run_dumbbell(hwatch));
   t.print(std::cout);
   std::cout << "\nGuest-side recovery tricks shorten some recoveries but "
                "keep the drops and\nthe tail-loss RTOs; HWatch prevents "

@@ -83,6 +83,7 @@ api::ScenarioResults run_testbed(bool hwatch_on) {
   cfg.duration = sim::seconds(2.5);
   cfg.sample_interval = sim::milliseconds(5);
   cfg.seed = 11;
+  cfg.run_label = hwatch_on ? "fig11-tcp-hwatch" : "fig11-tcp";
   return api::run_leaf_spine(cfg);
 }
 

@@ -44,6 +44,7 @@ api::ScenarioResults run_mix(bool heterogeneous) {
     cfg.long_groups = {{tcp::Transport::kDctcp, dctcp_t, 25, "dctcp"}};
     cfg.short_groups = {{tcp::Transport::kDctcp, dctcp_t, 25, "dctcp"}};
   }
+  cfg.run_label = heterogeneous ? "fig2-mix" : "fig2-dctcp";
   return api::run_dumbbell(cfg);
 }
 

@@ -40,6 +40,7 @@ api::ScenarioResults run(bool hwatch_on) {
   cfg.incast.flow_bytes = 10'000;
   cfg.duration = sim::seconds(1.0);
   cfg.seed = 7;
+  cfg.run_label = hwatch_on ? "incast_rescue-hwatch" : "incast_rescue-tcp";
 
   if (hwatch_on) {
     cfg.hwatch_enabled = true;

@@ -50,6 +50,7 @@ api::ScenarioResults run(bool hwatch_on) {
   cfg.incast.epoch_interval = sim::milliseconds(100);
   cfg.duration = sim::milliseconds(500);
   cfg.seed = 3;
+  cfg.run_label = hwatch_on ? "multi_tenant_mix-hwatch" : "multi_tenant_mix";
 
   if (hwatch_on) {
     cfg.hwatch_enabled = true;

@@ -75,9 +75,11 @@ int main() {
             << "3 incast epochs of 10 KB flows against 10 bulk flows.\n\n";
 
   api::DumbbellScenarioConfig plain = base_config();
+  plain.run_label = "quickstart-dctcp";
   report("DCTCP (no HWatch)", api::run_dumbbell(plain));
 
   api::DumbbellScenarioConfig watched = base_config();
+  watched.run_label = "quickstart-hwatch";
   watched.hwatch_enabled = true;
   watched.hwatch.probe_count = 10;
   watched.hwatch.policy.batch_interval = sim::microseconds(50);
