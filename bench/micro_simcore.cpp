@@ -7,10 +7,10 @@
 #include <optional>
 
 #include "api/scenario.hpp"
-#include "api/sweep.hpp"
 #include "net/checksum.hpp"
 #include "net/queue.hpp"
 #include "sim/context.hpp"
+#include "sim/random.hpp"
 #include "sim/incident_hooks.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/self_profiler.hpp"
@@ -90,7 +90,7 @@ void BM_MultiContextSweep(benchmark::State& state) {
   for (auto _ : state) {
     std::uint64_t total = 0;
     for (std::uint64_t p = 0; p < 8; ++p) {
-      sim::SimContext ctx(api::derive_point_seed(42, p));
+      sim::SimContext ctx(sim::mix64(42, p));
       std::uint64_t fired = 0;
       for (int i = 0; i < 1'000; ++i) {
         ctx.scheduler().schedule_at(

@@ -132,7 +132,7 @@ using Shims = std::vector<std::unique_ptr<core::HypervisorShim>>;
 /// so the series are byte-identical across worker counts.  Inbox DEPTH
 /// is deliberately not a gauge: mid-run it depends on producer timing.
 void register_gauges(sim::MetricsRegistry& m, const std::string& prefix,
-                     const ScenarioPart& part, const Shims* shims,
+                     const topo::Part& part, const Shims* shims,
                      const workload::TrafficManager* tm, bool cross) {
   if (shims != nullptr) {
     m.register_gauge(prefix + "hwatch.flow_table_entries", [shims] {
@@ -141,7 +141,7 @@ void register_gauges(sim::MetricsRegistry& m, const std::string& prefix,
       return static_cast<double>(n);
     });
   }
-  const net::Network* net = part.net;
+  const net::Network* net = part.net.get();
   m.register_gauge(prefix + "net.queued_pkts_total", [net] {
     std::size_t n = 0;
     for (const auto& l : net->links()) n += l->qdisc().len_packets();
@@ -247,6 +247,13 @@ void write_trace_file(const char* dir, const std::string& stem,
 }  // namespace
 
 ScenarioResults run_scenario(const ScenarioSpec& spec) {
+  // A zero interval would make every sampler re-arm itself at `now`
+  // forever, so the run would never reach its horizon.
+  if (spec.sample_interval <= 0) {
+    throw std::invalid_argument(
+        std::string(spec.kind) + " scenario: sample_interval = " +
+        std::to_string(spec.sample_interval) + " ps; must be > 0");
+  }
   // The environment widens the spec's observability switches.
   const char* metrics_dir = std::getenv("HWATCH_METRICS_DIR");
   const char* trace_dir = std::getenv("HWATCH_TRACE_DIR");
@@ -263,10 +270,10 @@ ScenarioResults run_scenario(const ScenarioSpec& spec) {
           ? std::string(spec.kind) + "-seed" + std::to_string(spec.seed)
           : spec.run_label;
 
-  ScenarioTopology topo = spec.build();
-  std::vector<ScenarioPart>& parts = topo.parts;
+  ScenarioTopology topology = spec.build();
+  std::vector<topo::Part>& parts = topology.parts;
   const std::size_t n = parts.size();
-  const bool cross = topo.lookahead > 0;
+  const bool cross = topology.lookahead > 0;
   for (std::size_t p = 0; p < n; ++p) {
     sim::SimContext& ctx = *parts[p].ctx;
     if (collect) ctx.metrics().set_enabled(true);
@@ -285,7 +292,7 @@ ScenarioResults run_scenario(const ScenarioSpec& spec) {
   // counts.
   std::vector<std::unique_ptr<stats::IncidentDetector>> doctors;
   if (detect) {
-    for (const ScenarioPart& part : parts) {
+    for (const topo::Part& part : parts) {
       auto doctor = std::make_unique<stats::IncidentDetector>();
       part.ctx->set_incident_sink(doctor.get());
       for (const auto& l : part.net->links()) {
@@ -314,14 +321,14 @@ ScenarioResults run_scenario(const ScenarioSpec& spec) {
 
   TrafficManagers tms;
   tms.reserve(n);
-  for (const ScenarioPart& part : parts) {
+  for (const topo::Part& part : parts) {
     tms.push_back(std::make_unique<workload::TrafficManager>(*part.net));
   }
   spec.add_workload(tms);
 
   std::optional<BottleneckSamplers> bottleneck;
-  if (topo.bottleneck != nullptr) {
-    bottleneck.emplace(parts[0].ctx->scheduler(), *topo.bottleneck,
+  if (topology.bottleneck != nullptr) {
+    bottleneck.emplace(parts[0].ctx->scheduler(), *topology.bottleneck,
                        spec.sample_interval, spec.duration);
   }
 
@@ -330,11 +337,11 @@ ScenarioResults run_scenario(const ScenarioSpec& spec) {
   // only fire inside the run, while they are all alive.
   std::vector<std::unique_ptr<stats::MetricsSampler>> samplers;
   if (collect) {
-    if (topo.bottleneck != nullptr) {
+    if (topology.bottleneck != nullptr) {
       sim::MetricsRegistry& m = parts[0].ctx->metrics();
-      net::Link* link = topo.bottleneck;
+      net::Link* link = topology.bottleneck;
       const double width = std::max(
-          1.0, static_cast<double>(topo.bottleneck_buffer_pkts) / 25.0);
+          1.0, static_cast<double>(topology.bottleneck_buffer_pkts) / 25.0);
       link->qdisc().attach_depth_histogram(&m.histogram(
           "queue.bottleneck.depth_pkts",
           sim::Histogram::linear_bounds(0, width, 26)));
@@ -372,7 +379,7 @@ ScenarioResults run_scenario(const ScenarioSpec& spec) {
       tc.shard_count = n;
       tc.workers = spec.workers;
       tc.label = label;
-      tc.lookahead = topo.lookahead;
+      tc.lookahead = topology.lookahead;
       tc.wall_spans = wall_spans;
       tc.progress = progress;
       tc.incidents = detect;
@@ -387,7 +394,7 @@ ScenarioResults run_scenario(const ScenarioSpec& spec) {
   std::vector<PartRun> tasks(n);
   sim::ShardGroup group(spec.workers);
   for (std::size_t p = 0; p < n; ++p) {
-    tasks[p].ctx = parts[p].ctx;
+    tasks[p].ctx = parts[p].ctx.get();
     tasks[p].ingress = &parts[p].ingress;
     tasks[p].telemetry = tel ? &*tel : nullptr;
     tasks[p].doctor = detect ? doctors[p].get() : nullptr;
@@ -396,7 +403,7 @@ ScenarioResults run_scenario(const ScenarioSpec& spec) {
   }
   group.set_telemetry(tel ? &*tel : nullptr);
   const sim::TimePs window =
-      cross ? topo.lookahead : std::max<sim::TimePs>(spec.duration, 1);
+      cross ? topology.lookahead : std::max<sim::TimePs>(spec.duration, 1);
   const WallClock::time_point run0 = WallClock::now();
   group.run(spec.duration, window);
   const auto run_wall_ns = static_cast<std::uint64_t>(
@@ -438,7 +445,7 @@ ScenarioResults run_scenario(const ScenarioSpec& spec) {
     res.queue_packets = bottleneck->queue.series();
     res.utilization = bottleneck->utilization.series();
     res.throughput_gbps = bottleneck->throughput.series();
-    res.bottleneck_queue = topo.bottleneck->qdisc().stats();
+    res.bottleneck_queue = topology.bottleneck->qdisc().stats();
   }
   if (tel) res.shard_imbalance = tel->imbalance_ratio();
 
@@ -491,7 +498,7 @@ ScenarioResults run_scenario(const ScenarioSpec& spec) {
     }
     std::vector<sim::MetricsSnapshot> snapshots;
     snapshots.reserve(n);
-    for (const ScenarioPart& part : parts) {
+    for (const topo::Part& part : parts) {
       snapshots.push_back(part.ctx->metrics().snapshot());
     }
 
@@ -536,13 +543,9 @@ ScenarioResults run_scenario(const ScenarioSpec& spec) {
     // path.
     std::vector<const sim::SpanTracer*> tracers;
     tracers.reserve(n);
-    for (const ScenarioPart& part : parts) {
+    for (const topo::Part& part : parts) {
       part.ctx->tracer().close_open_spans(part.ctx->now());
       tracers.push_back(&part.ctx->tracer());
-    }
-    if (n == 1) {
-      res.timeline = stats::FlowTimeline::build(*tracers[0]);
-      res.has_timeline = true;
     }
     std::ostringstream spans;
     sim::dump_jsonl_merged(tracers, spans);
@@ -574,7 +577,7 @@ ScenarioResults run_scenario(const ScenarioSpec& spec) {
     // never belong in result streams), then the straggler report.
     sim::SelfProfiler merged;
     sim::EventLoopStats loop;
-    for (const ScenarioPart& part : parts) {
+    for (const topo::Part& part : parts) {
       merged.merge_from(part.ctx->profiler());
       const sim::Scheduler& sched = part.ctx->scheduler();
       loop.events_executed += sched.executed();

@@ -9,11 +9,12 @@
 // shims, gauges and shard telemetry, the run, the results, the metrics
 // harvest, the manifest, and the trace and profile output.
 //
-// Every scenario runs as a sim::ShardGroup of one or more parts, a part
-// being one SimContext with its Network.  A single-context scenario is
-// one part whose window is the horizon: with no cross-part link there is
-// nothing to wait for, so the group does one drain plus one
-// run_until(duration), the same event sequence as a bare scheduler run.
+// Every scenario runs as a sim::ShardGroup of one or more topo::Parts,
+// a part being one SimContext with its Network.  A single-context
+// scenario is one part whose window is the horizon: with no cross-part
+// link there is nothing to wait for, so the group does one drain plus
+// one run_until(duration), the same event sequence as a bare scheduler
+// run.
 #pragma once
 
 #include <cstdint>
@@ -23,23 +24,15 @@
 #include <vector>
 
 #include "api/scenario.hpp"
-#include "net/shard_channel.hpp"
 #include "sim/json.hpp"
+#include "topo/shard.hpp"
 
 namespace hwatch::api::detail {
 
-/// One SimContext with its Network.  The adapter owns both; they must
-/// outlive run_scenario.
-struct ScenarioPart {
-  sim::SimContext* ctx = nullptr;
-  net::Network* net = nullptr;
-  /// Channels delivering into this part (empty without cross-part links).
-  std::vector<net::CrossShardChannel*> ingress;
-};
-
-/// What an adapter's build step returns.
+/// What an adapter's build step returns; run_scenario keeps it alive
+/// until the run's results are collected.
 struct ScenarioTopology {
-  std::vector<ScenarioPart> parts;
+  std::vector<topo::Part> parts;
   /// Minimum propagation delay of a cross-part link, the epoch window;
   /// 0 when there is no such link, and the run is one window.
   sim::TimePs lookahead = 0;
@@ -92,6 +85,8 @@ ScenarioSpec spec_for(const char* kind, const Config& cfg) {
   return s;
 }
 
+/// Runs one scenario.  Throws std::invalid_argument naming
+/// `sample_interval` when it is not positive, before any part exists.
 ScenarioResults run_scenario(const ScenarioSpec& spec);
 
 /// Parses the environment variable `name` as a positive integer no

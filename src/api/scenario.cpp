@@ -140,11 +140,11 @@ ScenarioResults run_dumbbell(const DumbbellScenarioConfig& cfg) {
         " sources; each source needs its own host pair");
   }
 
-  sim::SimContext ctx(cfg.seed);
-  net::Network net(ctx);
   topo::Dumbbell d;
   detail::ScenarioSpec spec = detail::spec_for("dumbbell", cfg);
   spec.build = [&] {
+    detail::ScenarioTopology topology;
+    topology.parts.push_back(topo::make_part(cfg.seed));
     topo::DumbbellConfig t;
     t.pairs = cfg.pairs;
     t.edge_rate = cfg.edge_rate;
@@ -152,14 +152,13 @@ ScenarioResults run_dumbbell(const DumbbellScenarioConfig& cfg) {
     t.base_rtt = cfg.base_rtt;
     t.edge_qdisc = cfg.edge_aqm.make_factory(cfg.edge_rate);
     t.bottleneck_qdisc = cfg.core_aqm.make_factory(cfg.bottleneck_rate);
-    d = topo::build_dumbbell(net, t);
-    detail::ScenarioTopology topology;
-    topology.parts.push_back({&ctx, &net, {}});
+    d = topo::build_dumbbell(*topology.parts[0].net, t);
     topology.bottleneck = d.bottleneck;
     topology.bottleneck_buffer_pkts = cfg.core_aqm.buffer_packets;
     return topology;
   };
   spec.add_workload = [&](const detail::TrafficManagers& tms) {
+    sim::Rng& rng = tms[0]->network().ctx().rng();
     // Long flows use pairs [0, long_count); short flows the next range.
     const auto hosts = [](const std::vector<net::Host*>& side,
                           std::uint32_t first, std::uint32_t count) {
@@ -170,13 +169,13 @@ ScenarioResults run_dumbbell(const DumbbellScenarioConfig& cfg) {
       workload::add_bulk_flows(*tms[0], hosts(d.left, 0, long_count),
                                hosts(d.right, 0, long_count),
                                cfg.long_groups, 0, cfg.bulk_start_spread,
-                               ctx.rng());
+                               rng);
     }
     if (short_count > 0) {
       workload::add_incast_epochs(
           *tms[0], hosts(d.left, long_count, short_count),
           hosts(d.right, long_count, short_count), cfg.short_groups,
-          cfg.incast, ctx.rng());
+          cfg.incast, rng);
     }
   };
   spec.config = [&] {
@@ -203,12 +202,12 @@ ScenarioResults run_leaf_spine(const LeafSpineScenarioConfig& cfg) {
         "; need >= 2 (the last rack receives, the others send)");
   }
 
-  sim::SimContext ctx(cfg.seed);
-  net::Network net(ctx);
   topo::LeafSpine t;
   const std::uint32_t recv_rack = cfg.racks - 1;
   detail::ScenarioSpec spec = detail::spec_for("leaf_spine", cfg);
   spec.build = [&] {
+    detail::ScenarioTopology topology;
+    topology.parts.push_back(topo::make_part(cfg.seed));
     topo::LeafSpineConfig tc;
     tc.racks = cfg.racks;
     tc.hosts_per_rack = cfg.hosts_per_rack;
@@ -217,9 +216,7 @@ ScenarioResults run_leaf_spine(const LeafSpineScenarioConfig& cfg) {
     tc.base_rtt = cfg.base_rtt;
     tc.edge_qdisc = cfg.edge_aqm.make_factory(cfg.link_rate);
     tc.fabric_qdisc = cfg.fabric_aqm.make_factory(cfg.link_rate);
-    t = topo::build_leaf_spine(net, tc);
-    detail::ScenarioTopology topology;
-    topology.parts.push_back({&ctx, &net, {}});
+    t = topo::build_leaf_spine(*topology.parts[0].net, tc);
     // The spine -> receiving-leaf downlink (single spine).
     topology.bottleneck = t.downlinks[recv_rack];
     topology.bottleneck_buffer_pkts = cfg.fabric_aqm.buffer_packets;
@@ -227,7 +224,7 @@ ScenarioResults run_leaf_spine(const LeafSpineScenarioConfig& cfg) {
   };
   spec.add_workload = [&](const detail::TrafficManagers& tms) {
     workload::TrafficManager& tm = *tms[0];
-    sim::Rng& rng = ctx.rng();
+    sim::Rng& rng = tm.network().ctx().rng();
     // Bulk flows: round-robin across the sending racks, all towards
     // hosts in the receiving rack (the spine -> leaf[recv_rack] link is
     // the bottleneck, as in the testbed).

@@ -17,7 +17,6 @@
 #include "sim/manifest.hpp"
 #include "stats/cdf.hpp"
 #include "stats/flow_record.hpp"
-#include "stats/flow_timeline.hpp"
 #include "stats/timeseries.hpp"
 #include "tcp/common.hpp"
 #include "topo/dumbbell.hpp"
@@ -86,11 +85,9 @@ struct ScenarioResults {
   bool has_manifest = false;
 
   /// Filled when span tracing ran (config flag or HWATCH_TRACE_DIR):
-  /// the per-flow breakdown plus the serialized traces — `trace_chrome`
-  /// is Chrome trace-event JSON (schema hwatch.trace_export/v1, loads
-  /// in Perfetto), `trace_spans_jsonl` the span JSONL dump.
-  stats::FlowTimeline timeline;
-  bool has_timeline = false;
+  /// `trace_chrome` is Chrome trace-event JSON (schema
+  /// hwatch.trace_export/v1, loads in Perfetto), `trace_spans_jsonl` the
+  /// span JSONL dump that `trace_inspect explain` reads.
   std::string trace_chrome;
   std::string trace_spans_jsonl;
 
@@ -149,8 +146,8 @@ struct DumbbellScenarioConfig {
   /// Manifest name / output file stem; "" -> "<kind>-seed<seed>".
   std::string run_label;
 
-  /// Enables the per-context SpanTracer and fills results.timeline /
-  /// trace_chrome / trace_spans_jsonl.  Also forced on when the
+  /// Enables the per-context SpanTracer and fills
+  /// results.trace_chrome / trace_spans_jsonl.  Also forced on when the
   /// HWATCH_TRACE_DIR environment variable is set, in which case
   /// "<label>.spans.jsonl" and "<label>.trace.json" are written there.
   bool trace_spans = false;

@@ -1,6 +1,7 @@
 #include "api/sharded.hpp"
 
 #include <cstdint>
+#include <utility>
 
 #include "api/run.hpp"
 
@@ -27,11 +28,9 @@ ScenarioResults run_fat_tree_sharded(const FatTreeScenarioConfig& cfg) {
     tc.seed = cfg.seed;
     tc.inbox_capacity = cfg.inbox_capacity;
     tree = topo::build_sharded_fat_tree(tc);
+    // The parts move into the run; `tree` keeps the node pointers.
     detail::ScenarioTopology topology;
-    for (auto& shard : tree.shards) {
-      topology.parts.push_back(
-          {shard.ctx.get(), shard.net.get(), shard.ingress});
-    }
+    topology.parts = std::move(tree.shards);
     topology.lookahead = tree.lookahead;
     return topology;
   };
@@ -52,7 +51,7 @@ ScenarioResults run_fat_tree_sharded(const FatTreeScenarioConfig& cfg) {
         workload::FlowSpec fs;
         fs.src = tree.hosts[i];
         fs.dst = tree.hosts[j];
-        fs.dst_net = tree.shards[dst_shard].net.get();
+        fs.dst_net = &tms[dst_shard]->network();
         fs.dst_port = tms[dst_shard]->next_port(*fs.dst);
         fs.transport = cfg.transport;
         fs.tcp = cfg.tcp;

@@ -11,16 +11,6 @@
 
 namespace hwatch::api {
 
-std::uint64_t derive_point_seed(std::uint64_t base_seed,
-                                std::uint64_t index) {
-  // splitmix64: mix the pair into a well-distributed 64-bit seed.  The
-  // +1 keeps point 0 of base 0 away from the all-zero fixed point.
-  std::uint64_t z = base_seed + 0x9e3779b97f4a7c15ull * (index + 1);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
-
 unsigned SweepRunner::threads_from_env() {
   return detail::positive_env("HWATCH_SWEEP_THREADS",
                               std::numeric_limits<unsigned>::max());

@@ -10,8 +10,8 @@
 //
 // Seeding: each point's config carries its own seed.  For sweeps that
 // want independent per-point streams derived from one base seed, use
-// derive_point_seed(base, index) — a splitmix64 mix, stable across
-// platforms and thread counts.
+// sim::mix64(base, index) (sim/random.hpp), stable across platforms and
+// thread counts.
 #pragma once
 
 #include <atomic>
@@ -25,10 +25,6 @@
 #include "sim/annotations.hpp"
 
 namespace hwatch::api {
-
-/// Mixes a base seed and a point index into an independent per-point
-/// seed (splitmix64 finalizer); deterministic and platform-stable.
-std::uint64_t derive_point_seed(std::uint64_t base_seed, std::uint64_t index);
 
 class HWATCH_SHARD_SHARED SweepRunner {
  public:

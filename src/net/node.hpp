@@ -67,7 +67,9 @@ class Switch final : public Node {
 
   std::uint64_t forwarded() const { return forwarded_; }
   std::uint64_t routeless_drops() const { return routeless_drops_; }
+  std::size_t route_count() const { return routes_.size(); }
   std::size_t range_route_count() const { return range_routes_.size(); }
+  std::size_t default_route_count() const { return default_routes_.size(); }
 
  private:
   struct RangeRoute {

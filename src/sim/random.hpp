@@ -14,6 +14,17 @@
 
 namespace hwatch::sim {
 
+/// Mixes a pair of words into one well-distributed 64-bit value with the
+/// splitmix64 finalizer: per-point sweep seeds, per-shard context seeds
+/// and span-tracer flow keys.  Deterministic and platform-stable; the
+/// +1 keeps index 0 of base 0 away from the all-zero fixed point.
+constexpr std::uint64_t mix64(std::uint64_t base, std::uint64_t index) {
+  std::uint64_t z = base + 0x9e3779b97f4a7c15ull * (index + 1);
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+  return z ^ (z >> 31);
+}
+
 class HWATCH_SHARD_CONFINED Rng {
  public:
   explicit Rng(std::uint64_t seed = 1) : engine_(seed) {}

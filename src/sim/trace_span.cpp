@@ -1,23 +1,13 @@
 #include "sim/trace_span.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <ostream>
+
+#include "sim/random.hpp"
 
 namespace hwatch::sim {
 
 namespace {
-
-/// splitmix64-style mix of the packed flow key words into one map key.
-/// flow_index_ stores the index into flows_ and lookups verify the full
-/// (hi, lo) pair, so a mix collision degrades to "flow not found", never
-/// to misattribution.
-std::uint64_t mix_key(std::uint64_t hi, std::uint64_t lo) {
-  std::uint64_t z = hi + 0x9e3779b97f4a7c15ull * (lo + 1);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
 
 void write_named_args(std::ostream& os, const SpanTracer::ArgNames& names,
                       const TraceEvent& ev, bool leading_comma) {
@@ -184,7 +174,7 @@ void SpanTracer::close_open_spans(TimePs t) {
 void SpanTracer::register_flow(std::uint64_t key_hi, std::uint64_t key_lo,
                                std::uint64_t flow_span) {
   if (!enabled_ || flow_span == 0) return;
-  const std::uint64_t k = mix_key(key_hi, key_lo);
+  const std::uint64_t k = mix64(key_hi, key_lo);
   const auto it = flow_index_.find(k);
   if (it != flow_index_.end()) {
     // Port reuse (or a mix collision): the newest flow owns the key.
@@ -198,7 +188,9 @@ void SpanTracer::register_flow(std::uint64_t key_hi, std::uint64_t key_lo,
 
 std::uint64_t SpanTracer::flow_span_of(std::uint64_t key_hi,
                                        std::uint64_t key_lo) const {
-  const auto it = flow_index_.find(mix_key(key_hi, key_lo));
+  // The index is keyed by the mixed (hi, lo) pair; verifying the full
+  // pair makes a mix collision "flow not found", never misattribution.
+  const auto it = flow_index_.find(mix64(key_hi, key_lo));
   if (it == flow_index_.end()) return 0;
   const FlowInfo& f = flows_[it->second];
   if (f.key_hi != key_hi || f.key_lo != key_lo) return 0;
@@ -207,41 +199,18 @@ std::uint64_t SpanTracer::flow_span_of(std::uint64_t key_hi,
 
 void SpanTracer::add_latency(std::uint64_t flow_span, LatencyComponent c,
                              TimePs dt) {
-  if (!enabled_) return;
+  if (!enabled_ || flow_span == 0) return;
   if (dt < 0) dt = 0;
   const auto ci = static_cast<std::size_t>(c);
-  const auto& bounds = latency_bounds_us();
-  const double us = static_cast<double>(dt) / 1e6;
-  const auto bucket = static_cast<std::size_t>(
-      std::lower_bound(bounds.begin(), bounds.end(), us) - bounds.begin());
-  ++latency_hist_[ci][bucket];
-  if (flow_span != 0) {
-    LatencyAccum& acc = latency_[flow_span];
-    acc.total_ps[ci] += dt;
-    ++acc.samples[ci];
-  }
+  LatencyAccum& acc = latency_[flow_span];
+  acc.total_ps[ci] += dt;
+  ++acc.samples[ci];
 }
 
 const SpanTracer::LatencyAccum* SpanTracer::latency_of(
     std::uint64_t flow_span) const {
   const auto it = latency_.find(flow_span);
   return it == latency_.end() ? nullptr : &it->second;
-}
-
-const std::array<double, SpanTracer::kLatencyBuckets>&
-SpanTracer::latency_bounds_us() {
-  // 0.1 us .. ~13 ms, doubling: covers serialization times of tiny
-  // probes through multi-ms RTO waits.
-  static const std::array<double, kLatencyBuckets> kBounds = [] {
-    std::array<double, kLatencyBuckets> b{};
-    double v = 0.1;
-    for (auto& x : b) {
-      x = v;
-      v *= 2;
-    }
-    return b;
-  }();
-  return kBounds;
 }
 
 void SpanTracer::dump_jsonl(std::ostream& os) const {

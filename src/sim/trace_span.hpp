@@ -143,22 +143,12 @@ class SpanTracer {
     std::array<std::uint64_t, kLatencyComponents> samples{};
   };
 
-  /// Attributes `dt` to a component: always into the context-wide
-  /// fixed-bucket histogram, and into the per-flow accumulator when
-  /// `flow_span` is a registered flow (0 = unattributed).
+  /// Attributes `dt` to a component in the per-flow accumulator of
+  /// `flow_span`; 0 (unattributed) records nothing.
   void add_latency(std::uint64_t flow_span, LatencyComponent c, TimePs dt);
 
   /// Per-flow totals; nullptr when the flow never saw a sample.
   const LatencyAccum* latency_of(std::uint64_t flow_span) const;
-
-  /// Exponential microsecond bounds shared by the per-component
-  /// histograms (bucket i counts samples <= bounds[i] us; one overflow).
-  static constexpr std::size_t kLatencyBuckets = 18;
-  static const std::array<double, kLatencyBuckets>& latency_bounds_us();
-  const std::array<std::uint64_t, kLatencyBuckets + 1>& latency_counts(
-      LatencyComponent c) const {
-    return latency_hist_[static_cast<std::size_t>(c)];
-  }
 
   // ---- inspection / export -------------------------------------------
   const std::vector<TraceEvent>& events() const { return events_; }
@@ -196,9 +186,6 @@ class SpanTracer {
   std::vector<FlowInfo> flows_;
   std::unordered_map<std::uint64_t, std::uint64_t> flow_index_;  // mixed key
   std::unordered_map<std::uint64_t, LatencyAccum> latency_;
-  std::array<std::array<std::uint64_t, kLatencyBuckets + 1>,
-             kLatencyComponents>
-      latency_hist_{};
 };
 
 /// Writes a picosecond time as exact fixed-point microseconds (six

@@ -1,24 +1,33 @@
 #include "topo/shard.hpp"
 
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
+#include "sim/random.hpp"
+
 namespace hwatch::topo {
 
-namespace {
-
-/// Same splitmix64 mix as api::derive_point_seed (duplicated here so the
-/// topo layer stays independent of api): shard s of base seed B always
-/// gets the same context seed, on every platform.
-std::uint64_t shard_seed(std::uint64_t base_seed, std::uint64_t shard) {
-  std::uint64_t z = base_seed + 0x9e3779b97f4a7c15ull * (shard + 1);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
+std::uint32_t fat_tree_hosts_per_edge(std::uint32_t k,
+                                      std::uint32_t hosts) {
+  if (k < 2 || k % 2 != 0) {
+    throw std::invalid_argument(
+        "FatTreeConfig.k: must be even and >= 2 (got " + std::to_string(k) +
+        ")");
+  }
+  const std::uint32_t edge_count = k * (k / 2);
+  if (hosts == 0) return k / 2;  // classic k^3/4 total
+  if (hosts % edge_count != 0) {
+    throw std::invalid_argument(
+        "FatTreeConfig.hosts: " + std::to_string(hosts) +
+        " hosts do not divide evenly across the " +
+        std::to_string(edge_count) + " edge switches of a k=" +
+        std::to_string(k) + " fat-tree (hosts must be a multiple of " +
+        std::to_string(edge_count) + ")");
+  }
+  return hosts / edge_count;
 }
-
-}  // namespace
 
 FatTreeShardPlan partition_fat_tree(std::uint32_t k, std::uint32_t hosts) {
   FatTreeShardPlan plan;
@@ -39,73 +48,59 @@ FatTreeShardPlan partition_fat_tree(std::uint32_t k, std::uint32_t hosts) {
   return plan;
 }
 
-LeafSpineShardPlan partition_leaf_spine(std::uint32_t racks,
-                                        std::uint32_t spines) {
-  if (racks == 0) {
-    throw std::invalid_argument(
-        "LeafSpineConfig.racks: must be >= 1 to partition");
-  }
-  LeafSpineShardPlan plan;
-  plan.shard_count = racks;
-  plan.spine_shard.resize(spines);
-  for (std::uint32_t s = 0; s < spines; ++s) plan.spine_shard[s] = s % racks;
-  return plan;
+Part make_part(std::uint64_t seed, std::uint32_t index, std::uint32_t count,
+               net::NodeId id_base) {
+  Part part;
+  part.ctx = std::make_unique<sim::SimContext>(
+      count == 1 ? seed : sim::mix64(seed, index));
+  part.ctx->set_packet_uid_base(static_cast<std::uint64_t>(index) << 48);
+  part.net = std::make_unique<net::Network>(*part.ctx, id_base);
+  return part;
 }
 
-ShardedFatTree build_sharded_fat_tree(const ShardedFatTreeConfig& cfg) {
+namespace {
+
+/// The one fat-tree wiring, shared by both placements.  `place(s)`
+/// returns the Network that holds logical shard s; it is called once
+/// per shard, in shard order, just before that shard's nodes are
+/// created.  A duplex link between shards placed in two different
+/// Networks becomes a pair of cross-shard links whose channels land in
+/// t.shards[destination], so a placement that splits the fabric keeps
+/// one Part per shard there.
+void wire_fat_tree(ShardedFatTree& t, const FatTreeConfig& cfg,
+                   std::size_t inbox_capacity,
+                   const std::function<net::Network&(std::uint32_t)>& place) {
   if (!cfg.qdisc) {
     throw std::invalid_argument(
-        "ShardedFatTreeConfig.qdisc: a qdisc factory is required");
+        "FatTreeConfig.qdisc: a qdisc factory is required");
   }
-  ShardedFatTree t;
   t.plan = partition_fat_tree(cfg.k, cfg.hosts);
-
   const std::uint32_t k = cfg.k;
   const std::uint32_t half = k / 2;
   const std::uint32_t shard_count = t.plan.shard_count;
   const std::uint32_t cores_total = half * half;
   const std::uint32_t hosts_per_edge = t.plan.hosts_per_edge;
-  // Same per-link delay as build_fat_tree: the longest path is 6 links
-  // one way.  It is also the lookahead, so it must be positive.
+  // Longest path: host-edge-agg-core-agg-edge-host = 6 links one way.
   const sim::TimePs per_link = cfg.base_rtt / 12;
-  if (per_link <= 0) {
-    throw std::invalid_argument(
-        "ShardedFatTreeConfig.base_rtt: " + std::to_string(cfg.base_rtt) +
-        " ps yields a non-positive per-link delay (base_rtt / 12), which "
-        "cannot bound the cross-shard sync window");
-  }
-  t.lookahead = per_link;
 
-  // --- id layout: one contiguous slice per shard, prefix-summed ---
-  std::vector<net::NodeId> base(shard_count);
-  net::NodeId next_id = 0;
+  // --- nodes: shard by shard, so ids ascend in one global space ---
+  std::vector<net::Network*> net_of(shard_count);
   for (std::uint32_t s = 0; s < shard_count; ++s) {
-    base[s] = next_id;
-    next_id += hosts_per_edge + 2 + (s < cores_total ? 1 : 0);
-  }
-
-  // --- nodes: creation order inside a shard fixes local ids ---
-  t.shards.resize(shard_count);
-  for (std::uint32_t s = 0; s < shard_count; ++s) {
-    ShardedFatTree::Shard& sh = t.shards[s];
-    sh.ctx = std::make_unique<sim::SimContext>(shard_seed(cfg.seed, s));
-    sh.ctx->set_packet_uid_base(static_cast<std::uint64_t>(s) << 48);
-    sh.net = std::make_unique<net::Network>(*sh.ctx, base[s]);
+    net::Network& net = place(s);
+    net_of[s] = &net;
     const std::uint32_t pod = s / half;
     const std::uint32_t e = s % half;
     const std::string prefix = "p" + std::to_string(pod);
     for (std::uint32_t h = 0; h < hosts_per_edge; ++h) {
-      sh.hosts.push_back(&sh.net->add_host(prefix + "e" + std::to_string(e) +
-                                           "h" + std::to_string(h)));
+      t.hosts.push_back(&net.add_host(prefix + "e" + std::to_string(e) +
+                                      "h" + std::to_string(h)));
     }
-    sh.edge = &sh.net->add_switch(prefix + "edge" + std::to_string(e));
-    sh.agg = &sh.net->add_switch(prefix + "agg" + std::to_string(e));
+    t.edges.push_back(&net.add_switch(prefix + "edge" + std::to_string(e)));
+    t.aggregations.push_back(
+        &net.add_switch(prefix + "agg" + std::to_string(e)));
     if (s < cores_total) {
-      sh.core = &sh.net->add_switch("core" + std::to_string(s));
+      t.cores.push_back(&net.add_switch("core" + std::to_string(s)));
     }
-  }
-  for (std::uint32_t s = 0; s < shard_count; ++s) {
-    for (net::Host* h : t.shards[s].hosts) t.hosts.push_back(h);
   }
 
   // --- links: one canonical enumeration order, so every shard's ingress
@@ -113,20 +108,19 @@ ShardedFatTree build_sharded_fat_tree(const ShardedFatTreeConfig& cfg) {
   // duplex() returns {u->v, v->u}.
   auto duplex = [&](std::uint32_t su, net::Node& u, std::uint32_t sv,
                     net::Node& v) -> std::pair<net::Link*, net::Link*> {
-    if (su == sv) {
-      auto d =
-          t.shards[su].net->connect(u, v, cfg.link_rate, per_link, cfg.qdisc);
+    if (net_of[su] == net_of[sv]) {
+      auto d = net_of[su]->connect(u, v, cfg.link_rate, per_link, cfg.qdisc);
       return {d.forward, d.backward};
     }
     auto one_way = [&](std::uint32_t src_shard, net::Node& src,
                        std::uint32_t dst_shard, net::Node& dst) {
-      ShardedFatTree::Shard& dst_sh = t.shards[dst_shard];
-      auto ch = std::make_unique<net::CrossShardChannel>(*dst_sh.ctx, &dst,
-                                                         cfg.inbox_capacity);
-      net::Link* link = t.shards[src_shard].net->connect_cross_shard(
+      Part& dst_part = t.shards[dst_shard];
+      auto ch = std::make_unique<net::CrossShardChannel>(*dst_part.ctx, &dst,
+                                                         inbox_capacity);
+      net::Link* link = net_of[src_shard]->connect_cross_shard(
           src, dst, cfg.link_rate, per_link, cfg.qdisc, &ch->inbox());
-      dst_sh.ingress.push_back(ch.get());
-      dst_sh.channels.push_back(std::move(ch));
+      dst_part.ingress.push_back(ch.get());
+      dst_part.channels.push_back(std::move(ch));
       ++t.cross_links;
       return link;
     };
@@ -149,7 +143,7 @@ ShardedFatTree build_sharded_fat_tree(const ShardedFatTreeConfig& cfg) {
   for (std::uint32_t s = 0; s < shard_count; ++s) {
     for (std::uint32_t h = 0; h < hosts_per_edge; ++h) {
       auto [up, down] =
-          duplex(s, *t.shards[s].hosts[h], s, *t.shards[s].edge);
+          duplex(s, *t.hosts[s * hosts_per_edge + h], s, *t.edges[s]);
       host_down[s][h] = down;
     }
   }
@@ -158,7 +152,7 @@ ShardedFatTree build_sharded_fat_tree(const ShardedFatTreeConfig& cfg) {
     const std::uint32_t e = s % half;
     for (std::uint32_t a = 0; a < half; ++a) {
       const std::uint32_t sa = t.plan.agg_shard[pod * half + a];
-      auto [up, down] = duplex(s, *t.shards[s].edge, sa, *t.shards[sa].agg);
+      auto [up, down] = duplex(s, *t.edges[s], sa, *t.aggregations[sa]);
       edge_up[s][a] = up;
       agg_down[sa][e] = down;
     }
@@ -171,46 +165,79 @@ ShardedFatTree build_sharded_fat_tree(const ShardedFatTreeConfig& cfg) {
     for (std::uint32_t j = 0; j < half; ++j) {
       const std::uint32_t c = a * half + j;
       const std::uint32_t sc = t.plan.core_shard[c];
-      auto [up, down] = duplex(s, *t.shards[s].agg, sc, *t.shards[sc].core);
+      auto [up, down] = duplex(s, *t.aggregations[s], sc, *t.cores[c]);
       agg_up[s][j] = up;
       core_down[c][pod] = down;
     }
   }
 
   // --- structural routes (no global BFS; memory stays O(hosts) total
-  // instead of O(hosts^2) route-map entries) ---
+  // instead of O(hosts^2) route-map entries).  Shard s2's hosts are the
+  // id range [first_host(s2), first_host(s2) + hosts_per_edge). ---
+  const auto first_host = [&](std::uint32_t s2) {
+    return t.hosts[s2 * hosts_per_edge]->id();
+  };
   for (std::uint32_t s = 0; s < shard_count; ++s) {
     const std::uint32_t pod = s / half;
 
     // Edge: exact routes down to local hosts, ECMP default up.
     for (std::uint32_t h = 0; h < hosts_per_edge; ++h) {
-      t.shards[s].edge->add_route(t.shards[s].hosts[h]->id(),
-                                  host_down[s][h]);
+      t.edges[s]->add_route(t.hosts[s * hosts_per_edge + h]->id(),
+                            host_down[s][h]);
     }
-    t.shards[s].edge->set_default_routes(edge_up[s]);
+    t.edges[s]->set_default_routes(edge_up[s]);
 
     // Aggregation: one host-range per edge shard of its pod, default up
     // to its cores.
     for (std::uint32_t e2 = 0; e2 < half; ++e2) {
       const std::uint32_t s2 = pod * half + e2;
-      t.shards[s].agg->add_range_route(
-          base[s2], base[s2] + hosts_per_edge - 1, agg_down[s][e2]);
+      t.aggregations[s]->add_range_route(
+          first_host(s2), first_host(s2) + hosts_per_edge - 1,
+          agg_down[s][e2]);
     }
-    t.shards[s].agg->set_default_routes(agg_up[s]);
-
-    // Core (if owned): each pod's host ranges point at the one
-    // aggregation this core reaches in that pod.
-    if (t.shards[s].core != nullptr) {
-      for (std::uint32_t p2 = 0; p2 < k; ++p2) {
-        for (std::uint32_t e2 = 0; e2 < half; ++e2) {
-          const std::uint32_t s2 = p2 * half + e2;
-          t.shards[s].core->add_range_route(
-              base[s2], base[s2] + hosts_per_edge - 1, core_down[s][p2]);
-        }
-      }
+    t.aggregations[s]->set_default_routes(agg_up[s]);
+  }
+  // Core: each pod's host ranges point at the one aggregation this core
+  // reaches in that pod.
+  for (std::uint32_t c = 0; c < cores_total; ++c) {
+    for (std::uint32_t s2 = 0; s2 < shard_count; ++s2) {
+      t.cores[c]->add_range_route(first_host(s2),
+                                  first_host(s2) + hosts_per_edge - 1,
+                                  core_down[c][s2 / half]);
     }
   }
+}
 
+}  // namespace
+
+FatTree build_fat_tree(net::Network& net, const FatTreeConfig& cfg) {
+  // Every shard lives in `net`, so no link crosses Networks and
+  // t.shards stays empty; only the FatTree part is returned.
+  ShardedFatTree t;
+  wire_fat_tree(t, cfg, 0, [&net](std::uint32_t) -> net::Network& {
+    return net;
+  });
+  return std::move(static_cast<FatTree&>(t));
+}
+
+ShardedFatTree build_sharded_fat_tree(const ShardedFatTreeConfig& cfg) {
+  // The per-link delay is also the lookahead, so it must be positive.
+  if (cfg.base_rtt / 12 <= 0) {
+    throw std::invalid_argument(
+        "ShardedFatTreeConfig.base_rtt: " + std::to_string(cfg.base_rtt) +
+        " ps yields a non-positive per-link delay (base_rtt / 12), which "
+        "cannot bound the cross-shard sync window");
+  }
+  ShardedFatTree t;
+  t.lookahead = cfg.base_rtt / 12;
+  wire_fat_tree(t, cfg, cfg.inbox_capacity,
+                [&](std::uint32_t s) -> net::Network& {
+                  const net::NodeId base =
+                      s == 0 ? 0 : t.shards[s - 1].net->id_end();
+                  t.shards.push_back(
+                      make_part(cfg.seed, s, t.plan.shard_count, base));
+                  return *t.shards.back().net;
+                });
   return t;
 }
 

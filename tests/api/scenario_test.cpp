@@ -6,6 +6,7 @@
 #include <string>
 
 #include "api/scenario.hpp"
+#include "api/sharded.hpp"
 
 namespace hwatch::api {
 namespace {
@@ -142,6 +143,25 @@ TEST(ScenarioTest, RackCountIsCheckedBeforeTheTopology) {
     EXPECT_NE(what.find("racks = " + std::to_string(racks)),
               std::string::npos)
         << what;
+  }
+}
+
+TEST(ScenarioTest, SampleIntervalMustBePositive) {
+  // A zero interval would re-arm every sampler at `now` forever; the
+  // run path rejects it before any part exists, for every topology.
+  for (sim::TimePs interval : {sim::TimePs{0}, sim::TimePs{-1}}) {
+    DumbbellScenarioConfig dumbbell = small_scenario();
+    dumbbell.sample_interval = interval;
+    const std::string a =
+        invalid_argument_of([&] { run_dumbbell(dumbbell); });
+    EXPECT_NE(a.find("sample_interval"), std::string::npos) << a;
+
+    FatTreeScenarioConfig fat_tree;
+    fat_tree.k = 4;
+    fat_tree.sample_interval = interval;
+    const std::string b =
+        invalid_argument_of([&] { run_fat_tree_sharded(fat_tree); });
+    EXPECT_NE(b.find("sample_interval"), std::string::npos) << b;
   }
 }
 

@@ -2,7 +2,9 @@
 
 #include <cmath>
 #include <sstream>
+#include <vector>
 
+#include "sim/metrics.hpp"
 #include "stats/cdf.hpp"
 #include "stats/flow_record.hpp"
 #include "stats/table.hpp"
@@ -159,6 +161,58 @@ TEST(JainFairnessTest, EdgeCases) {
 TEST(JainFairnessTest, OrderInvariant) {
   EXPECT_DOUBLE_EQ(jain_fairness({1.0, 2.0, 3.0}),
                    jain_fairness({3.0, 1.0, 2.0}));
+}
+
+TEST(Percentiles, EmptyHistogramIsAllZero) {
+  const Percentiles p =
+      percentiles(std::vector<double>{1, 2, 4}, {0, 0, 0, 0});
+  EXPECT_EQ(p.count, 0u);
+  EXPECT_EQ(p.p50, 0);
+  EXPECT_EQ(p.p95, 0);
+  EXPECT_EQ(p.p99, 0);
+  EXPECT_EQ(p.p999, 0);
+}
+
+TEST(Percentiles, SingleBucketInterpolatesFromZero) {
+  // All four samples in (0, 10]: rank q*4 interpolates linearly.
+  const Percentiles p = percentiles(std::vector<double>{10}, {4, 0});
+  EXPECT_EQ(p.count, 4u);
+  EXPECT_DOUBLE_EQ(p.p50, 5.0);
+  EXPECT_DOUBLE_EQ(p.p95, 9.5);
+  EXPECT_DOUBLE_EQ(p.p99, 9.9);
+  EXPECT_DOUBLE_EQ(p.p999, 9.99);
+}
+
+TEST(Percentiles, OverflowBucketUsesHint) {
+  // Both samples beyond the last bound; the overflow bucket spans
+  // (10, hint] when a hint is given, else collapses to the last bound.
+  const Percentiles with_hint =
+      percentiles(std::vector<double>{10}, {0, 2}, /*overflow_hint=*/30);
+  EXPECT_DOUBLE_EQ(with_hint.p50, 20.0);
+  const Percentiles no_hint = percentiles(std::vector<double>{10}, {0, 2});
+  EXPECT_DOUBLE_EQ(no_hint.p50, 10.0);
+  EXPECT_DOUBLE_EQ(no_hint.p999, 10.0);
+}
+
+TEST(Percentiles, SkipsEmptyBucketsBetweenRanks) {
+  // 10 samples <= 1, then a gap, then 10 in (4, 8]: the median sits at
+  // the top of the first bucket, the p95 inside the last.
+  const Percentiles p =
+      percentiles(std::vector<double>{1, 2, 4, 8}, {10, 0, 0, 10, 0});
+  EXPECT_EQ(p.count, 20u);
+  EXPECT_DOUBLE_EQ(p.p50, 1.0);
+  EXPECT_DOUBLE_EQ(p.p95, 4.0 + 4.0 * 0.9);
+}
+
+TEST(Percentiles, HistogramOverloadUsesRecordedMax) {
+  sim::MetricsRegistry reg;
+  reg.set_enabled(true);
+  sim::Histogram& h = reg.histogram("t", {10.0});
+  h.record(12);  // overflow bucket; max = 12 becomes the hint
+  h.record(12);
+  const Percentiles p = percentiles(h);
+  EXPECT_EQ(p.count, 2u);
+  EXPECT_DOUBLE_EQ(p.p50, 11.0);  // halfway through (10, 12]
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
-// Fat-tree/leaf-spine shard partitioning and the sharded fabric builder:
-// the logical partition is a pure function of the topology shape, node
-// ids slice one global space, and a packet crossing shard boundaries
-// reaches its destination through the conservative drain/run protocol.
+// Fat-tree shard partitioning and the one fat-tree wiring: the logical
+// partition is a pure function of the topology shape, node ids slice one
+// global space, both placements build the same fabric, and a packet
+// crossing shard boundaries reaches its destination through the
+// conservative drain/run protocol.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -65,15 +66,6 @@ TEST(ShardPlanTest, FatTreePartitionShapes) {
   EXPECT_THROW(partition_fat_tree(4, 7), std::invalid_argument);
 }
 
-TEST(ShardPlanTest, LeafSpineRoundRobin) {
-  const LeafSpineShardPlan plan = partition_leaf_spine(4, 6);
-  EXPECT_EQ(plan.shard_count, 4u);
-  ASSERT_EQ(plan.spine_shard.size(), 6u);
-  const std::vector<std::uint32_t> expect = {0, 1, 2, 3, 0, 1};
-  EXPECT_EQ(plan.spine_shard, expect);
-  EXPECT_THROW(partition_leaf_spine(0, 2), std::invalid_argument);
-}
-
 TEST(ShardedFatTreeTest, BuildsGlobalIdSlices) {
   ShardedFatTreeConfig cfg;
   cfg.k = 4;
@@ -81,23 +73,26 @@ TEST(ShardedFatTreeTest, BuildsGlobalIdSlices) {
   const ShardedFatTree t = build_sharded_fat_tree(cfg);
   ASSERT_EQ(t.shards.size(), 8u);
   ASSERT_EQ(t.hosts.size(), 16u);
+  ASSERT_EQ(t.edges.size(), 8u);
+  ASSERT_EQ(t.aggregations.size(), 8u);
+  ASSERT_EQ(t.cores.size(), 4u);
   EXPECT_EQ(t.lookahead, cfg.base_rtt / 12);
   EXPECT_GT(t.cross_links, 0u);
 
   net::NodeId expect_base = 0;
   for (std::size_t s = 0; s < t.shards.size(); ++s) {
-    const auto& shard = t.shards[s];
+    const Part& shard = t.shards[s];
     EXPECT_EQ(shard.net->id_base(), expect_base) << "shard " << s;
-    ASSERT_EQ(shard.hosts.size(), 2u);
-    EXPECT_EQ(shard.hosts[0]->id(), expect_base);
-    ASSERT_NE(shard.edge, nullptr);
-    ASSERT_NE(shard.agg, nullptr);
-    EXPECT_EQ(shard.edge->id(), expect_base + 2);
+    ASSERT_EQ(shard.net->hosts().size(), 2u);
+    EXPECT_EQ(t.hosts[2 * s]->id(), expect_base);
+    EXPECT_EQ(shard.net->hosts()[0], t.hosts[2 * s]);
+    EXPECT_EQ(t.edges[s]->id(), expect_base + 2);
+    EXPECT_EQ(t.aggregations[s]->id(), expect_base + 3);
     // Cores live on the first (k/2)^2 = 4 shards only.
+    const std::size_t switches = s < 4 ? 3 : 2;
+    ASSERT_EQ(shard.net->switches().size(), switches);
     if (s < 4) {
-      ASSERT_NE(shard.core, nullptr);
-    } else {
-      EXPECT_EQ(shard.core, nullptr);
+      EXPECT_EQ(t.cores[s]->id(), expect_base + 4);
     }
     EXPECT_FALSE(shard.ingress.empty());
     expect_base = shard.net->id_end();
@@ -106,6 +101,64 @@ TEST(ShardedFatTreeTest, BuildsGlobalIdSlices) {
   for (std::size_t i = 1; i < t.hosts.size(); ++i) {
     EXPECT_LT(t.hosts[i - 1]->id(), t.hosts[i]->id());
   }
+}
+
+TEST(FatTreePlacementTest, OneNetworkAndShardedAgree) {
+  // The same wiring placed in one Network and in one Network per shard:
+  // same node at every id, same host list, same routing tables.
+  sim::SimContext ctx;
+  net::Network net(ctx);
+  FatTreeConfig one_cfg;
+  one_cfg.k = 4;
+  one_cfg.qdisc = q();
+  const FatTree one = build_fat_tree(net, one_cfg);
+  ShardedFatTreeConfig sharded_cfg;
+  sharded_cfg.k = 4;
+  sharded_cfg.qdisc = q();
+  const ShardedFatTree sharded = build_sharded_fat_tree(sharded_cfg);
+
+  std::size_t nodes = 0;
+  for (const Part& part : sharded.shards) {
+    for (net::NodeId id = part.net->id_base(); id < part.net->id_end();
+         ++id, ++nodes) {
+      ASSERT_NE(net.node(id), nullptr) << "id " << id;
+      EXPECT_EQ(net.node(id)->name(), part.net->node(id)->name())
+          << "id " << id;
+    }
+  }
+  EXPECT_EQ(net.node_count(), nodes);
+
+  ASSERT_EQ(one.hosts.size(), sharded.hosts.size());
+  for (std::size_t i = 0; i < one.hosts.size(); ++i) {
+    EXPECT_EQ(one.hosts[i]->id(), sharded.hosts[i]->id()) << "host " << i;
+    EXPECT_EQ(one.hosts[i]->name(), sharded.hosts[i]->name())
+        << "host " << i;
+  }
+
+  const auto same_routes = [](const std::vector<net::Switch*>& a,
+                              const std::vector<net::Switch*>& b) {
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i]->id(), b[i]->id()) << a[i]->name();
+      EXPECT_EQ(a[i]->route_count(), b[i]->route_count()) << a[i]->name();
+      EXPECT_EQ(a[i]->range_route_count(), b[i]->range_route_count())
+          << a[i]->name();
+      EXPECT_EQ(a[i]->default_route_count(), b[i]->default_route_count())
+          << a[i]->name();
+    }
+  };
+  same_routes(one.edges, sharded.edges);
+  same_routes(one.aggregations, sharded.aggregations);
+  same_routes(one.cores, sharded.cores);
+  // The structural shape: k/2 exact host routes and k/2 uplinks per
+  // edge, k/2 ranges and k/2 uplinks per aggregation, one range per
+  // edge at every core.
+  EXPECT_EQ(one.edges[0]->route_count(), 2u);
+  EXPECT_EQ(one.edges[0]->default_route_count(), 2u);
+  EXPECT_EQ(one.aggregations[0]->range_route_count(), 2u);
+  EXPECT_EQ(one.aggregations[0]->default_route_count(), 2u);
+  EXPECT_EQ(one.cores[0]->range_route_count(), 8u);
+  EXPECT_EQ(one.cores[0]->default_route_count(), 0u);
 }
 
 TEST(ShardedFatTreeTest, CrossShardPacketDelivery) {
