@@ -101,7 +101,8 @@ int main() {
   }
 
   stats::Table t({"point", "hosts", "workers", "flows", "unfinished",
-                  "events", "wall(s)", "events/s", "imbalance"});
+                  "events", "epochs", "wall(s)", "events/s",
+                  "imbalance"});
   for (std::size_t i = 0; i < curves.size(); ++i) {
     const auto& r = curves[i].results;
     const double rate =
@@ -115,7 +116,8 @@ int main() {
                std::to_string(r.records.size()),
                std::to_string(r.incomplete_short_flows()),
                std::to_string(r.events_executed),
-               stats::Table::num(walls[i], 2), stats::Table::num(rate, 0),
+               std::to_string(r.epochs), stats::Table::num(walls[i], 2),
+               stats::Table::num(rate, 0),
                stats::Table::num(r.shard_imbalance, 2) + "x"});
   }
   t.print(std::cout);
@@ -127,6 +129,15 @@ int main() {
               << curves[0].results.events_executed << " vs "
               << curves[1].results.events_executed
               << ") — sharded determinism is broken\n";
+    return 1;
+  }
+  // The same for the epoch count: every worker must take the same
+  // idle-window skip decisions, under real threads.
+  if (curves[0].results.epochs != curves[1].results.epochs) {
+    std::cerr << "error: k8 epoch counts differ across worker counts ("
+              << curves[0].results.epochs << " vs "
+              << curves[1].results.epochs
+              << ") — the shared skip decision is broken\n";
     return 1;
   }
 

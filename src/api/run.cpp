@@ -68,9 +68,10 @@ bool env_flag(const char* name) {
          !(raw[0] == '0' && raw[1] == '\0');
 }
 
-/// One part's epoch protocol: drain the cross-part inboxes, then run
-/// the local scheduler through the window.  The telemetry hooks cost
-/// one predictable null-check each when detached.
+/// One part's epoch protocol: drain the cross-part inboxes, report the
+/// earliest pending event, then run the local scheduler through the
+/// window.  The telemetry hooks cost one predictable null-check each
+/// when detached.
 struct PartRun final : sim::ShardTask {
   sim::SimContext* ctx = nullptr;
   std::vector<net::CrossShardChannel*>* ingress = nullptr;
@@ -95,6 +96,11 @@ struct PartRun final : sim::ShardTask {
       telemetry->shard_drain(shard_id, window_start, in);
     }
     net::drain_cross_shard_channels(*ingress, scratch);
+  }
+  // The drain moved every inbox item into the scheduler, so its front
+  // is the part's whole answer.
+  sim::TimePs next_event_time() override {
+    return ctx->scheduler().next_event_time().value_or(sim::kTimeNever);
   }
   void run(sim::TimePs window_end) override {
     ctx->scheduler().run_until(window_end);
@@ -190,7 +196,7 @@ sim::Json series_json(
 /// The manifest `results` section: the common keys, then the
 /// bottleneck keys or the epoch keys, then the shim counters.
 sim::Json results_json(const ScenarioResults& res, bool bottleneck,
-                       bool cross, std::uint64_t epochs) {
+                       bool cross) {
   sim::Json j = sim::Json::object();
   j.set("flows", res.records.size());
   std::size_t completed = 0;
@@ -212,7 +218,7 @@ sim::Json results_json(const ScenarioResults& res, bool bottleneck,
     j.set("bottleneck_queue", std::move(q));
   }
   if (cross) {
-    j.set("epochs", epochs);
+    j.set("epochs", res.epochs);
     j.set("shard_imbalance", res.shard_imbalance);
   }
   sim::Json s = sim::Json::object();
@@ -253,6 +259,13 @@ ScenarioResults run_scenario(const ScenarioSpec& spec) {
     throw std::invalid_argument(
         std::string(spec.kind) + " scenario: sample_interval = " +
         std::to_string(spec.sample_interval) + " ps; must be > 0");
+  }
+  // A negative horizon would run nothing and return an empty result.
+  // Zero stays legal: it builds the scenario and executes no event.
+  if (spec.duration < 0) {
+    throw std::invalid_argument(
+        std::string(spec.kind) + " scenario: duration = " +
+        std::to_string(spec.duration) + " ps; must be >= 0");
   }
   // The environment widens the spec's observability switches.
   const char* metrics_dir = std::getenv("HWATCH_METRICS_DIR");
@@ -447,6 +460,7 @@ ScenarioResults run_scenario(const ScenarioSpec& spec) {
     res.throughput_gbps = bottleneck->throughput.series();
     res.bottleneck_queue = topology.bottleneck->qdisc().stats();
   }
+  if (cross) res.epochs = group.epochs();
   if (tel) res.shard_imbalance = tel->imbalance_ratio();
 
   if (collect) {
@@ -507,8 +521,7 @@ ScenarioResults run_scenario(const ScenarioSpec& spec) {
     man.scenario_kind = spec.kind;
     man.seed = spec.seed;
     man.config = spec.config();
-    man.results = results_json(res, bottleneck.has_value(), cross,
-                               group.epochs());
+    man.results = results_json(res, bottleneck.has_value(), cross);
     man.results.set("fct_ms_percentiles",
                     stats::percentiles_json(stats::percentiles(fct)));
     if (tel) man.shards = tel->shards_json();

@@ -96,6 +96,9 @@ struct ScenarioResults {
   /// Wall-clock data, so it is a SEPARATE artifact — never merged into
   /// `trace_chrome`, which is byte-compared across worker counts.
   std::string trace_workers_chrome;
+  /// Sharded runs only: conservative epochs executed (windows in which
+  /// no shard had an event are skipped, not counted).  Deterministic.
+  std::uint64_t epochs = 0;
   /// Sharded runs only: per-epoch max/mean shard-events ratio (1.0 =
   /// perfectly balanced, 0 = no events / not a sharded run).
   /// Deterministic — derived from event counts, not wall time.

@@ -15,6 +15,19 @@ namespace hwatch::sim {
 
 ShardTask::~ShardTask() = default;
 
+namespace {
+
+/// End of the epoch that opens at grid point `t`: the next window
+/// (t, t+W] or, when the earliest pending event `next` lies past it, the
+/// grid window (t+kW, t+(k+1)W] that holds `next`; never past `horizon`.
+TimePs next_window_end(TimePs t, TimePs window, TimePs horizon, TimePs next) {
+  if (next >= horizon) return horizon;
+  const TimePs skipped = next > t + window ? (next - t - 1) / window : 0;
+  return std::min(horizon, t + (skipped + 1) * window);
+}
+
+}  // namespace
+
 ShardGroup::ShardGroup(unsigned threads)
     : threads_(threads == 0 ? 1 : threads) {}
 
@@ -25,6 +38,7 @@ void ShardGroup::add(ShardTask* task) {
     throw std::invalid_argument("ShardGroup::add: null task");
   }
   tasks_.push_back(task);
+  next_.push_back(0);
 }
 
 void ShardGroup::run(TimePs horizon, TimePs window) {
@@ -67,9 +81,13 @@ void ShardGroup::run_sequential(TimePs horizon, TimePs window) {
   ShardTelemetry* const tel = telemetry_;
   try {
     for (TimePs t = now_; t < horizon;) {
-      const TimePs end = std::min(horizon, t + window);
       if (tel != nullptr) tel->worker_mark(0, ShardTelemetry::Mark::kDrain);
-      for (ShardTask* task : tasks_) task->drain(t);
+      TimePs next = kTimeNever;
+      for (ShardTask* task : tasks_) {
+        task->drain(t);
+        next = std::min(next, task->next_event_time());
+      }
+      const TimePs end = next_window_end(t, window, horizon, next);
       if (tel != nullptr) tel->worker_mark(0, ShardTelemetry::Mark::kRun);
       for (ShardTask* task : tasks_) task->run(end);
       if (tel != nullptr) tel->epoch_end(end, horizon);
@@ -108,6 +126,11 @@ void ShardGroup::run_parallel(TimePs horizon, TimePs window) {
   // not depend on scheduling luck.  On error, workers keep arriving at
   // the barriers (skipping the work) so nobody deadlocks.
   //
+  // The skip decision needs no barrier of its own: each owner writes
+  // its shards' next-event slots before the drain barrier, and no slot
+  // is written again before the run barrier, so every worker reads the
+  // same slots in between and computes the same epoch end.
+  //
   // Telemetry hooks: each worker marks its own phase transitions (one
   // predictable branch when detached); the coordinator (worker 0)
   // closes the epoch after the run-phase barrier — every shard record
@@ -117,15 +140,19 @@ void ShardGroup::run_parallel(TimePs horizon, TimePs window) {
   ShardTelemetry* const tel = telemetry_;
   const auto worker = [&](unsigned w) {
     for (TimePs t = now_; t < horizon;) {
-      const TimePs end = std::min(horizon, t + window);
       if (tel != nullptr) tel->worker_mark(w, ShardTelemetry::Mark::kDrain);
       for (std::size_t s = w; s < n; s += workers) {
-        guard([&] { tasks_[s]->drain(t); });
+        guard([&] {
+          tasks_[s]->drain(t);
+          next_[s] = tasks_[s]->next_event_time();
+        });
       }
       if (tel != nullptr) {
         tel->worker_mark(w, ShardTelemetry::Mark::kBarrier);
       }
       sync.arrive_and_wait();
+      const TimePs end = next_window_end(
+          t, window, horizon, *std::min_element(next_.begin(), next_.end()));
       if (tel != nullptr) tel->worker_mark(w, ShardTelemetry::Mark::kRun);
       for (std::size_t s = w; s < n; s += workers) {
         guard([&] { tasks_[s]->run(end); });
@@ -137,9 +164,9 @@ void ShardGroup::run_parallel(TimePs horizon, TimePs window) {
       // Stop closing epochs once a shard failed: the remaining epochs
       // are no-ops (guard skips the work), and freezing the epoch
       // counter keeps the flight ring anchored at the failure.
-      if (tel != nullptr && w == 0 &&
-          !failed.load(std::memory_order_relaxed)) {
-        tel->epoch_end(end, horizon);
+      if (w == 0 && !failed.load(std::memory_order_relaxed)) {
+        ++epochs_;
+        if (tel != nullptr) tel->epoch_end(end, horizon);
       }
       t = end;
     }
@@ -154,10 +181,6 @@ void ShardGroup::run_parallel(TimePs horizon, TimePs window) {
   worker(0);
   for (std::thread& th : pool) th.join();
 
-  for (TimePs t = now_; t < horizon;) {
-    t = std::min(horizon, t + window);
-    ++epochs_;
-  }
   if (first_error) {
     dump_flight_on_error(first_error);
     std::rethrow_exception(first_error);

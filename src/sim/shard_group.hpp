@@ -13,13 +13,26 @@
 // Each epoch runs in two barrier-separated phases:
 //   1. drain(T):  every shard empties its inboxes, scheduling the
 //      received packets into its own scheduler (sorted by
-//      (deliver_time, packet uid) for determinism);
-//   2. run(T+W):  every shard executes its events through T+W.
+//      (deliver_time, packet uid) for determinism), and reports its
+//      earliest pending event (next_event_time);
+//   2. run(end):  every shard executes its events through `end`.
 // The barrier between the phases is what makes the schedule
 // deterministic: all cross-shard pushes of window N are published
 // before any shard starts window N+1, so the set of packets a drain
 // observes — and therefore every scheduler sequence number — is a pure
 // function of (config, seed), independent of thread count or timing.
+//
+// Idle windows are skipped.  Windows lie on a fixed grid T0 + kW from
+// the time the run() call starts at.  After the drain, the global
+// minimum e of the shards' next-event times decides the epoch's end:
+// normally T+W; when e lies past it, the end of the grid window
+// (T0+kW, T0+(k+1)W] that holds e, so the epoch runs straight through
+// the empty windows before it; when e is at or past the horizon, the
+// horizon.  Nothing can happen in a skipped window — every inbox was
+// just drained, and no shard has an event there to send from — so the
+// busy windows, their drain sets and the event order are exactly those
+// of a run that steps every window.  e is a pure function of the
+// drained state, so the skip is as deterministic as the rest.
 //
 // Threads vs shards: the logical partition is fixed by the topology;
 // the thread count only decides how many workers execute the shard
@@ -56,6 +69,12 @@ class HWATCH_SHARD_CONFINED ShardTask {
   /// (run_until semantics: events <= window_end execute, now becomes
   /// window_end).
   virtual void run(TimePs window_end) = 0;
+
+  /// Time of the earliest event pending after drain(), or kTimeNever
+  /// when none is.  The coordinator skips windows in which no shard has
+  /// an event.  The default, 0, means "due now": a task that does not
+  /// report its schedule is never skipped over.
+  virtual TimePs next_event_time() { return 0; }
 };
 
 class HWATCH_SHARD_SHARED ShardGroup {
@@ -75,8 +94,9 @@ class HWATCH_SHARD_SHARED ShardGroup {
   void add(ShardTask* task);
 
   /// Advances all shards to `horizon` in conservative windows of
-  /// `window` picoseconds (the lookahead).  May be called repeatedly;
-  /// each call resumes from the previous horizon.
+  /// `window` picoseconds (the lookahead), skipping windows in which no
+  /// shard has an event.  May be called repeatedly; each call resumes
+  /// from the previous horizon.
   void run(TimePs horizon, TimePs window);
 
   unsigned threads() const { return threads_; }
@@ -90,7 +110,9 @@ class HWATCH_SHARD_SHARED ShardGroup {
   /// outlive run().
   void set_telemetry(ShardTelemetry* telemetry) { telemetry_ = telemetry; }
 
-  /// Epochs executed so far (one drain+run round per window).
+  /// Epochs (drain+run rounds) executed so far: one per busy window,
+  /// plus the closing run to the horizon when no event is left before
+  /// it.  Skipped idle windows are not counted.
   std::uint64_t epochs() const { return epochs_; }
 
  private:
@@ -100,6 +122,9 @@ class HWATCH_SHARD_SHARED ShardGroup {
 
   unsigned threads_;
   std::vector<ShardTask*> tasks_;
+  // Per-shard next-event time, written by the shard's owner after its
+  // drain and read by every worker after the drain barrier.
+  std::vector<TimePs> next_;
   ShardTelemetry* telemetry_ = nullptr;
   TimePs now_ = 0;  // horizon reached by the previous run() call
   std::uint64_t epochs_ = 0;

@@ -171,7 +171,7 @@ FatTreeScenarioConfig fat_tree_point(unsigned shards, bool hwatch) {
 }
 
 // One pin for both worker counts: the sharded byte-identity contract.
-constexpr Pin kFatTreePin{0x0f9be921fe2acd19ull, 0x2269e7f5cbf4bd7bull,
+constexpr Pin kFatTreePin{0x251a4c42133a09feull, 0x2269e7f5cbf4bd7bull,
                           0xe33d85b3f39bbef0ull};
 
 TEST_F(OutputPinDeterminism, FatTreeOneWorker) {
@@ -184,7 +184,7 @@ TEST_F(OutputPinDeterminism, FatTreeTwoWorkers) {
 
 TEST_F(OutputPinDeterminism, FatTreeWithoutHWatch) {
   expect_pinned(run_fat_tree_sharded(fat_tree_point(2, false)),
-                {0x7d1d50bc6d66e7f5ull, 0x4b797f87463c1da1ull,
+                {0xd2e94ad90c38a636ull, 0x4b797f87463c1da1ull,
                  0xe361d7bc5276dde0ull});
 }
 

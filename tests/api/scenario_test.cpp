@@ -165,6 +165,32 @@ TEST(ScenarioTest, SampleIntervalMustBePositive) {
   }
 }
 
+TEST(ScenarioTest, DurationMustNotBeNegative) {
+  // A negative horizon used to return an empty run with no error.
+  for (sim::TimePs duration : {sim::TimePs{-1}, sim::milliseconds(-5)}) {
+    DumbbellScenarioConfig dumbbell = small_scenario();
+    dumbbell.duration = duration;
+    const std::string a =
+        invalid_argument_of([&] { run_dumbbell(dumbbell); });
+    EXPECT_NE(a.find("duration"), std::string::npos) << a;
+
+    FatTreeScenarioConfig fat_tree;
+    fat_tree.k = 4;
+    fat_tree.duration = duration;
+    const std::string b =
+        invalid_argument_of([&] { run_fat_tree_sharded(fat_tree); });
+    EXPECT_NE(b.find("duration"), std::string::npos) << b;
+  }
+  // Zero stays legal: the scenario is built and no event runs.
+  DumbbellScenarioConfig dumbbell = small_scenario();
+  dumbbell.duration = 0;
+  EXPECT_EQ(run_dumbbell(dumbbell).events_executed, 0u);
+  FatTreeScenarioConfig fat_tree;
+  fat_tree.k = 4;
+  fat_tree.duration = 0;
+  EXPECT_EQ(run_fat_tree_sharded(fat_tree).events_executed, 0u);
+}
+
 TEST(ScenarioTest, HWatchReducesDropsUnderIncast) {
   // Miniature figure 8: plain TCP tenants, marginal buffer.
   auto base = [] {

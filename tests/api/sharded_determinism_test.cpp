@@ -126,6 +126,27 @@ TEST(ShardedDeterminism, EmptyWorkloadStaysByteIdentical) {
   }
 }
 
+TEST(ShardedScenario, IdleHorizonAddsNoEpochs) {
+  // Once every flow has finished, no shard has an event left, so a
+  // longer horizon adds at most the closing epoch — the property that
+  // keeps wall time flat in the idle tail.  Metrics stay off: sampler
+  // ticks would be events of their own.
+  api::FatTreeScenarioConfig cfg = small_config();
+  cfg.collect_metrics = false;
+  cfg.trace_spans = false;
+  cfg.shards = 2;
+  cfg.duration = sim::milliseconds(50);
+  const api::ScenarioResults short_run = api::run_fat_tree_sharded(cfg);
+  cfg.duration = sim::milliseconds(400);
+  const api::ScenarioResults long_run = api::run_fat_tree_sharded(cfg);
+  ASSERT_EQ(short_run.incomplete_short_flows(), 0u);
+  for (const auto& r : short_run.records) EXPECT_TRUE(r.completed);
+  EXPECT_EQ(long_run.events_executed, short_run.events_executed);
+  EXPECT_GT(short_run.epochs, 0u);
+  EXPECT_LE(long_run.epochs, short_run.epochs + 1);
+  EXPECT_GE(long_run.epochs, short_run.epochs);
+}
+
 TEST(ShardedScenario, ProfileReportsWithoutDisturbingResults) {
   api::FatTreeScenarioConfig cfg = small_config();
   cfg.trace_spans = false;

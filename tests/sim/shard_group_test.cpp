@@ -1,10 +1,15 @@
 // ShardGroup epoch protocol: the drain/run call sequence each task sees
-// must be a pure function of (horizon, window) — identical whether the
-// group runs sequentially or across worker threads, resumable across
-// run() calls, and with errors from any shard rethrown to the caller.
+// must be a pure function of (horizon, window, pending event times) —
+// identical whether the group runs sequentially or across worker
+// threads, resumable across run() calls, and with errors from any shard
+// rethrown to the caller.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
+#include <memory>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "sim/shard_group.hpp"
@@ -129,6 +134,158 @@ TEST(ShardGroupTest, ParallelRethrowsTaskError) {
   // Workers keep arriving at the barriers after a failure, so this must
   // rethrow rather than deadlock.
   EXPECT_THROW(g.run(100, 30), std::runtime_error);
+}
+
+// A shard with a fixed set of pending event times.  run(end) executes
+// every event <= end and records (window end, event time); with
+// `report` false it keeps the default next_event_time(), so the group
+// may never skip a window.
+struct SparseTask final : ShardTask {
+  using Call = RecordingTask::Call;
+  struct Executed {
+    TimePs window_end;
+    TimePs time;
+    friend bool operator==(const Executed&, const Executed&) = default;
+  };
+
+  SparseTask(std::vector<TimePs> times, bool report)
+      : pending(std::move(times)), report(report) {}
+
+  std::vector<TimePs> pending;  // ascending
+  bool report;
+  std::size_t cursor = 0;
+  std::vector<Call> calls;
+  std::vector<Executed> executed;
+
+  void drain(TimePs window_start) override {
+    calls.push_back({'d', window_start});
+  }
+  TimePs next_event_time() override {
+    if (!report) return ShardTask::next_event_time();
+    return cursor < pending.size() ? pending[cursor] : kTimeNever;
+  }
+  void run(TimePs window_end) override {
+    calls.push_back({'r', window_end});
+    for (; cursor < pending.size() && pending[cursor] <= window_end;
+         ++cursor) {
+      executed.push_back({window_end, pending[cursor]});
+    }
+  }
+};
+
+// Pending times for four shards: three of the 100-ps windows up to the
+// horizon 1000 hold an event — (100,200], (300,400] and (700,800] —
+// plus one event past the horizon.
+std::vector<std::vector<TimePs>> sparse_times() {
+  return {{150, 400}, {}, {310, 1500}, {800}};
+}
+
+std::vector<std::unique_ptr<SparseTask>> sparse_tasks(ShardGroup& g,
+                                                      bool report) {
+  std::vector<std::unique_ptr<SparseTask>> tasks;
+  for (std::vector<TimePs>& times : sparse_times()) {
+    tasks.push_back(std::make_unique<SparseTask>(std::move(times), report));
+    g.add(tasks.back().get());
+  }
+  return tasks;
+}
+
+TEST(ShardGroupTest, SkipsWindowsWithoutEvents) {
+  ShardGroup g(1);
+  const auto tasks = sparse_tasks(g, true);
+  g.run(1000, 100);
+  // One epoch per busy window — each opens where the previous one
+  // closed and runs through the idle windows before it — plus the
+  // closing run to the horizon (the 1500 event lies past it).
+  const std::vector<SparseTask::Call> expect = {
+      {'d', 0},   {'r', 200}, {'d', 200}, {'r', 400},
+      {'d', 400}, {'r', 800}, {'d', 800}, {'r', 1000},
+  };
+  for (const auto& t : tasks) EXPECT_EQ(t->calls, expect);
+  EXPECT_EQ(g.epochs(), 4u);
+}
+
+TEST(ShardGroupTest, SkipRunsBusyWindowsAsTheDefaultDoes) {
+  ShardGroup skip(1);
+  ShardGroup step(1);
+  const auto skipping = sparse_tasks(skip, true);
+  const auto stepping = sparse_tasks(step, false);
+  skip.run(1000, 100);
+  step.run(1000, 100);
+  EXPECT_EQ(step.epochs(), 10u);  // the default never skips
+  std::size_t ran = 0;
+  for (std::size_t i = 0; i < skipping.size(); ++i) {
+    // Every event runs in the same grid window either way.
+    EXPECT_EQ(skipping[i]->executed, stepping[i]->executed) << "shard " << i;
+    // Each busy window's run end is a run end of the stepping group,
+    // and each skipping epoch opens where the previous one closed.
+    const std::vector<SparseTask::Call>& calls = skipping[i]->calls;
+    TimePs last = 0;
+    for (std::size_t c = 0; c < calls.size(); c += 2) {
+      EXPECT_EQ(calls[c], (SparseTask::Call{'d', last}));
+      last = calls[c + 1].t;
+      const auto& ref = stepping[i]->calls;
+      EXPECT_NE(std::find(ref.begin(), ref.end(),
+                          SparseTask::Call{'r', last}),
+                ref.end());
+    }
+    ran += skipping[i]->executed.size();
+  }
+  EXPECT_EQ(ran, 4u);  // 1500 stays pending
+}
+
+TEST(ShardGroupTest, SkippingIsTheSameAcrossWorkerCounts) {
+  ShardGroup seq(1);
+  const auto st = sparse_tasks(seq, true);
+  seq.run(1000, 100);
+  for (const unsigned workers : {2u, 4u}) {
+    ShardGroup par(workers);
+    const auto pt = sparse_tasks(par, true);
+    par.run(1000, 100);
+    EXPECT_EQ(par.epochs(), seq.epochs()) << workers << " workers";
+    for (std::size_t i = 0; i < st.size(); ++i) {
+      EXPECT_EQ(pt[i]->calls, st[i]->calls)
+          << workers << " workers, shard " << i;
+      EXPECT_EQ(pt[i]->executed, st[i]->executed)
+          << workers << " workers, shard " << i;
+    }
+  }
+}
+
+TEST(ShardGroupTest, EventPastTheHorizonStillRunsToTheHorizon) {
+  for (const unsigned workers : {1u, 2u}) {
+    ShardGroup g(workers);
+    SparseTask a({5000}, true);
+    SparseTask b({}, true);
+    g.add(&a);
+    g.add(&b);
+    g.run(1000, 100);
+    const std::vector<SparseTask::Call> expect = {{'d', 0}, {'r', 1000}};
+    EXPECT_EQ(a.calls, expect) << workers << " workers";
+    EXPECT_EQ(b.calls, expect) << workers << " workers";
+    EXPECT_TRUE(a.executed.empty());
+    EXPECT_EQ(g.epochs(), 1u);
+  }
+}
+
+TEST(ShardGroupTest, SkippingResumesFromPreviousHorizon) {
+  for (const unsigned workers : {1u, 2u}) {
+    ShardGroup g(workers);
+    SparseTask a({120, 950}, true);
+    SparseTask b({}, true);
+    g.add(&a);
+    g.add(&b);
+    g.run(500, 100);
+    g.run(1000, 100);  // a new grid from 500: 950 is in (900,1000]
+    const std::vector<SparseTask::Call> expect = {
+        {'d', 0},   {'r', 200},  {'d', 200}, {'r', 500},
+        {'d', 500}, {'r', 1000},
+    };
+    EXPECT_EQ(a.calls, expect) << workers << " workers";
+    const std::vector<SparseTask::Executed> ran = {{200, 120}, {1000, 950}};
+    EXPECT_EQ(a.executed, ran) << workers << " workers";
+    EXPECT_EQ(g.epochs(), 3u);
+  }
 }
 
 TEST(ShardGroupTest, EmptyGroupAdvancesTime) {
