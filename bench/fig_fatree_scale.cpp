@@ -100,6 +100,9 @@ int main() {
     curves.push_back({pt.name, std::move(res)});
   }
 
+  const auto hosts_of = [](const api::FatTreeScenarioConfig& cfg) {
+    return cfg.hosts != 0 ? cfg.hosts : cfg.k * cfg.k * cfg.k / 4;
+  };
   stats::Table t({"point", "hosts", "workers", "flows", "unfinished",
                   "events", "epochs", "wall(s)", "events/s",
                   "imbalance"});
@@ -108,10 +111,7 @@ int main() {
     const double rate =
         walls[i] > 0 ? static_cast<double>(r.events_executed) / walls[i] : 0;
     t.add_row({curves[i].name,
-               std::to_string(points[i].cfg.hosts != 0
-                                  ? points[i].cfg.hosts
-                                  : points[i].cfg.k * points[i].cfg.k *
-                                        points[i].cfg.k / 4),
+               std::to_string(hosts_of(points[i].cfg)),
                std::to_string(points[i].cfg.shards),
                std::to_string(r.records.size()),
                std::to_string(r.incomplete_short_flows()),
@@ -121,6 +121,16 @@ int main() {
                stats::Table::num(r.shard_imbalance, 2) + "x"});
   }
   t.print(std::cout);
+  // The largest point sets the process peak, so bytes per host of that
+  // point is the memory trend to read next to events/s.
+  std::uint32_t max_hosts = 0;
+  for (const Point& pt : points) {
+    max_hosts = std::max(max_hosts, hosts_of(pt.cfg));
+  }
+  const double rss = static_cast<double>(bench::peak_rss_bytes());
+  std::cout << "peak RSS: " << stats::Table::num(rss / (1024.0 * 1024.0), 1)
+            << " MiB, " << stats::Table::num(rss / 1024.0 / max_hosts, 1)
+            << " KiB/host at " << max_hosts << " hosts\n";
 
   // The headline invariant, asserted on every bench run: thread count
   // must not change the simulation, only the wall clock.

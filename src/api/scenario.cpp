@@ -5,6 +5,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "api/run.hpp"
 #include "sim/context.hpp"
@@ -25,7 +26,37 @@ std::string to_string(AqmKind kind) {
   return "?";
 }
 
+namespace {
+
+/// Throws std::invalid_argument naming the first field of `aqm` that
+/// would build a queue admitting nothing or a RED with no valid curve.
+void check_aqm(const AqmConfig& aqm) {
+  const auto reject = [](const std::string& what) {
+    throw std::invalid_argument("AqmConfig: " + what);
+  };
+  if (aqm.buffer_packets == 0) {
+    reject("buffer_packets = 0 admits no packet; need >= 1");
+  }
+  if (aqm.byte_mode && aqm.mtu_bytes == 0) {
+    reject("mtu_bytes = 0 with byte_mode makes a 0-byte buffer; need >= 1");
+  }
+  if (aqm.kind == AqmKind::kRed) {
+    // Negated so NaN fails too.
+    if (!(aqm.red_max_p > 0.0 && aqm.red_max_p <= 1.0)) {
+      reject("red_max_p = " + std::to_string(aqm.red_max_p) +
+             " is outside (0, 1]");
+    }
+    if (!(aqm.red_weight > 0.0 && aqm.red_weight <= 1.0)) {
+      reject("red_weight = " + std::to_string(aqm.red_weight) +
+             " is outside (0, 1]");
+    }
+  }
+}
+
+}  // namespace
+
 net::QdiscFactory AqmConfig::make_factory(sim::DataRate link_rate) const {
+  check_aqm(*this);
   const net::QueueLimits limits =
       byte_mode
           ? net::QueueLimits::in_bytes(buffer_packets *
@@ -140,6 +171,11 @@ ScenarioResults run_dumbbell(const DumbbellScenarioConfig& cfg) {
         " sources; each source needs its own host pair");
   }
 
+  // Built (and so validated) before any context exists.
+  net::QdiscFactory edge_qdisc = cfg.edge_aqm.make_factory(cfg.edge_rate);
+  net::QdiscFactory core_qdisc =
+      cfg.core_aqm.make_factory(cfg.bottleneck_rate);
+
   topo::Dumbbell d;
   detail::ScenarioSpec spec = detail::spec_for("dumbbell", cfg);
   spec.build = [&] {
@@ -150,8 +186,8 @@ ScenarioResults run_dumbbell(const DumbbellScenarioConfig& cfg) {
     t.edge_rate = cfg.edge_rate;
     t.bottleneck_rate = cfg.bottleneck_rate;
     t.base_rtt = cfg.base_rtt;
-    t.edge_qdisc = cfg.edge_aqm.make_factory(cfg.edge_rate);
-    t.bottleneck_qdisc = cfg.core_aqm.make_factory(cfg.bottleneck_rate);
+    t.edge_qdisc = std::move(edge_qdisc);
+    t.bottleneck_qdisc = std::move(core_qdisc);
     d = topo::build_dumbbell(*topology.parts[0].net, t);
     topology.bottleneck = d.bottleneck;
     topology.bottleneck_buffer_pkts = cfg.core_aqm.buffer_packets;
@@ -202,6 +238,11 @@ ScenarioResults run_leaf_spine(const LeafSpineScenarioConfig& cfg) {
         "; need >= 2 (the last rack receives, the others send)");
   }
 
+  // Built (and so validated) before any context exists.
+  net::QdiscFactory edge_qdisc = cfg.edge_aqm.make_factory(cfg.link_rate);
+  net::QdiscFactory fabric_qdisc =
+      cfg.fabric_aqm.make_factory(cfg.link_rate);
+
   topo::LeafSpine t;
   const std::uint32_t recv_rack = cfg.racks - 1;
   detail::ScenarioSpec spec = detail::spec_for("leaf_spine", cfg);
@@ -214,8 +255,8 @@ ScenarioResults run_leaf_spine(const LeafSpineScenarioConfig& cfg) {
     tc.host_rate = cfg.link_rate;
     tc.uplink_rate = cfg.link_rate;
     tc.base_rtt = cfg.base_rtt;
-    tc.edge_qdisc = cfg.edge_aqm.make_factory(cfg.link_rate);
-    tc.fabric_qdisc = cfg.fabric_aqm.make_factory(cfg.link_rate);
+    tc.edge_qdisc = std::move(edge_qdisc);
+    tc.fabric_qdisc = std::move(fabric_qdisc);
     t = topo::build_leaf_spine(*topology.parts[0].net, tc);
     // The spine -> receiving-leaf downlink (single spine).
     topology.bottleneck = t.downlinks[recv_rack];

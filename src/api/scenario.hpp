@@ -52,6 +52,10 @@ struct AqmConfig {
   bool byte_mode = false;
   std::uint32_t mtu_bytes = 1500;
 
+  /// Throws std::invalid_argument naming the field when the queues
+  /// would admit nothing (buffer_packets = 0, or mtu_bytes = 0 in
+  /// byte mode) or, for kRed, when red_max_p or red_weight is outside
+  /// (0, 1].
   net::QdiscFactory make_factory(sim::DataRate link_rate) const;
 };
 

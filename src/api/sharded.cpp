@@ -17,16 +17,18 @@ ScenarioResults run_fat_tree_sharded(const FatTreeScenarioConfig& cfg) {
   spec.workers = cfg.shards != 0 ? cfg.shards : shards_from_env();
   if (spec.workers == 0) spec.workers = 1;
 
+  // Built (and so validated) before any context exists.
+  topo::ShardedFatTreeConfig tc;
+  tc.k = cfg.k;
+  tc.hosts = cfg.hosts;
+  tc.link_rate = cfg.link_rate;
+  tc.base_rtt = cfg.base_rtt;
+  tc.qdisc = cfg.aqm.make_factory(cfg.link_rate);
+  tc.seed = cfg.seed;
+  tc.inbox_capacity = cfg.inbox_capacity;
+
   topo::ShardedFatTree tree;
   spec.build = [&] {
-    topo::ShardedFatTreeConfig tc;
-    tc.k = cfg.k;
-    tc.hosts = cfg.hosts;
-    tc.link_rate = cfg.link_rate;
-    tc.base_rtt = cfg.base_rtt;
-    tc.qdisc = cfg.aqm.make_factory(cfg.link_rate);
-    tc.seed = cfg.seed;
-    tc.inbox_capacity = cfg.inbox_capacity;
     tree = topo::build_sharded_fat_tree(tc);
     // The parts move into the run; `tree` keeps the node pointers.
     detail::ScenarioTopology topology;

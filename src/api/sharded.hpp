@@ -49,6 +49,8 @@ struct FatTreeScenarioConfig {
   /// unset).  Never changes the logical partition — results are
   /// byte-identical for every value.
   unsigned shards = 0;
+  /// Per cross-shard channel: the depth beyond which pushes count as
+  /// spills.  Not storage — an inbox grows with its deepest window.
   std::size_t inbox_capacity = 1024;
 
   /// Same semantics as the other scenario configs: forced on by

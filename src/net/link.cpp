@@ -28,6 +28,9 @@ Link::Link(sim::SimContext& ctx, std::string name, sim::DataRate rate,
       prop_events_(ctx.metrics().counter("sched.events.link_prop")) {
   assert(qdisc_ != nullptr);
   assert(dst_ != nullptr);
+  // Queued packets live in the context's pool, shared by every queue of
+  // the part, so packet memory follows the part's aggregate occupancy.
+  qdisc_->bind_pool(ctx.packet_pool());
 }
 
 EnqueueOutcome Link::transmit(Packet&& p) {

@@ -1,17 +1,20 @@
-// Growable ring buffer of Packets — the qdisc FIFO storage.
+// Growable FIFO ring — the storage behind qdisc FIFOs (as a ring of
+// pooled packet handles) and link packet trains (as a ring of Packets).
 //
-// Replaces std::deque<Packet>, whose libstdc++ implementation allocates
-// and frees a 512-byte node roughly every three packets even when the
-// queue depth is steady — exactly the churn the allocation-free hot
-// path forbids.  The ring grows geometrically (power-of-two capacity,
-// index masking) and never shrinks, so once a queue has seen its peak
-// depth every enqueue/dequeue is allocation-free.
+// Replaces std::deque, whose libstdc++ implementation allocates and
+// frees a 512-byte node roughly every three elements even when the
+// depth is steady — exactly the churn the allocation-free hot path
+// forbids.  The ring grows geometrically (power-of-two capacity, index
+// masking) and never shrinks, so once it has seen its peak depth every
+// push/pop is allocation-free.
 //
 // Beyond push_back/pop_front it supports the two operations the
 // priority band logic needs: insert at a logical position (urgent
 // packets slot in behind the queued high-class ones) and erase at a
 // logical position (best-effort tail eviction).  Both shift the smaller
-// side, so they stay O(min(pos, size-pos)) like a deque insert.
+// side, so they stay O(min(pos, size-pos)) like a deque insert.  Slots
+// outside the live range always hold a moved-from or value-initialised
+// T, so a ring of owning handles never keeps a dead element's resource.
 #pragma once
 
 #include <cassert>
@@ -23,46 +26,47 @@
 
 namespace hwatch::net {
 
-class PacketRing {
+template <typename T>
+class Ring {
  public:
-  PacketRing() = default;
+  Ring() = default;
 
   bool empty() const { return size_ == 0; }
   std::size_t size() const { return size_; }
   std::size_t capacity() const { return slots_.size(); }
 
   /// Element at logical position `i` (0 = head / next to dequeue).
-  Packet& at(std::size_t i) {
+  T& at(std::size_t i) {
     assert(i < size_);
     return slots_[wrap(head_ + i)];
   }
-  const Packet& at(std::size_t i) const {
+  const T& at(std::size_t i) const {
     assert(i < size_);
     return slots_[wrap(head_ + i)];
   }
 
-  Packet& front() { return at(0); }
-  const Packet& front() const { return at(0); }
-  Packet& back() { return at(size_ - 1); }
-  const Packet& back() const { return at(size_ - 1); }
+  T& front() { return at(0); }
+  const T& front() const { return at(0); }
+  T& back() { return at(size_ - 1); }
+  const T& back() const { return at(size_ - 1); }
 
-  void push_back(Packet&& p) {
+  void push_back(T&& v) {
     if (size_ == slots_.size()) grow();
-    slots_[wrap(head_ + size_)] = std::move(p);
+    slots_[wrap(head_ + size_)] = std::move(v);
     ++size_;
   }
 
-  Packet pop_front() {
+  T pop_front() {
     assert(size_ > 0);
-    Packet p = std::move(slots_[head_]);
+    T v = std::move(slots_[head_]);
     head_ = wrap(head_ + 1);
     --size_;
-    return p;
+    return v;
   }
 
   /// Inserts at logical position `pos` (0..size), shifting the smaller
   /// side of the ring by one slot.
-  void insert(std::size_t pos, Packet&& p) {
+  void insert(std::size_t pos, T&& v) {
     assert(pos <= size_);
     if (size_ == slots_.size()) grow();
     if (pos * 2 <= size_) {
@@ -78,11 +82,11 @@ class PacketRing {
       }
     }
     ++size_;
-    slots_[wrap(head_ + pos)] = std::move(p);
+    slots_[wrap(head_ + pos)] = std::move(v);
   }
 
   /// Erases the element at logical position `pos`, shifting the smaller
-  /// side of the ring by one slot.
+  /// side of the ring by one slot and resetting the slot it vacates.
   void erase(std::size_t pos) {
     assert(pos < size_);
     if (pos * 2 <= size_) {
@@ -90,11 +94,13 @@ class PacketRing {
       for (std::size_t i = pos; i > 0; --i) {
         slots_[wrap(head_ + i)] = std::move(slots_[wrap(head_ + i - 1)]);
       }
+      slots_[head_] = T();
       head_ = wrap(head_ + 1);
     } else {
       for (std::size_t i = pos; i + 1 < size_; ++i) {
         slots_[wrap(head_ + i)] = std::move(slots_[wrap(head_ + i + 1)]);
       }
+      slots_[wrap(head_ + size_ - 1)] = T();
     }
     --size_;
   }
@@ -119,7 +125,7 @@ class PacketRing {
   void grow() { rebuild(slots_.empty() ? kMinCapacity : slots_.size() * 2); }
 
   void rebuild(std::size_t new_capacity) {
-    std::vector<Packet> next(new_capacity);
+    std::vector<T> next(new_capacity);
     for (std::size_t i = 0; i < size_; ++i) {
       next[i] = std::move(slots_[wrap(head_ + i)]);
     }
@@ -129,9 +135,11 @@ class PacketRing {
 
   static constexpr std::size_t kMinCapacity = 16;
 
-  std::vector<Packet> slots_;
+  std::vector<T> slots_;
   std::size_t head_ = 0;
   std::size_t size_ = 0;
 };
+
+using PacketRing = Ring<Packet>;
 
 }  // namespace hwatch::net

@@ -30,13 +30,15 @@ EnqueueOutcome QueueDiscipline::enqueue(Packet&& p, sim::TimePs now) {
   bytes_ += p.size_bytes();
   ++stats_.enqueued;
   stats_.bytes_enqueued += p.size_bytes();
-  if (service_class(p) > 0) {
+  const bool high = service_class(p) > 0;
+  sim::PoolPtr<Packet> slot = pool_->make<Packet>(std::move(p));
+  if (high) {
     // Strict priority: behind the queued high-class packets, ahead of
     // every best-effort one.
-    fifo_.insert(high_count_, std::move(p));
+    fifo_.insert(high_count_, std::move(slot));
     ++high_count_;
   } else {
-    fifo_.push_back(std::move(p));
+    fifo_.push_back(std::move(slot));
   }
   stats_.max_len_pkts = std::max<std::uint64_t>(stats_.max_len_pkts,
                                                 fifo_.size());
@@ -48,7 +50,7 @@ EnqueueOutcome QueueDiscipline::enqueue(Packet&& p, sim::TimePs now) {
 
 std::optional<Packet> QueueDiscipline::dequeue(sim::TimePs now) {
   if (fifo_.empty()) return std::nullopt;
-  Packet p = fifo_.pop_front();
+  Packet p = std::move(*fifo_.pop_front());
   if (high_count_ > 0 && service_class(p) > 0) --high_count_;
   bytes_ -= p.size_bytes();
   ++stats_.dequeued;
@@ -59,7 +61,7 @@ std::optional<Packet> QueueDiscipline::dequeue(sim::TimePs now) {
 
 bool QueueDiscipline::evict_best_effort_tail() {
   for (std::size_t i = fifo_.size(); i > 0; --i) {
-    const Packet& victim = fifo_.at(i - 1);
+    const Packet& victim = *fifo_.at(i - 1);
     if (service_class(victim) == 0) {
       ++stats_.dropped;
       stats_.bytes_dropped += victim.size_bytes();

@@ -6,9 +6,18 @@
 //                         WRED-style marking HWatch relies on)
 //   DctcpThresholdQueue — instantaneous step marking at threshold K
 //                         (the DCTCP switch configuration)
+//
+// Storage follows occupancy, not the buffer bound: the FIFO is a ring
+// of 16-byte pool handles, and the Packets themselves live in blocks of
+// a sim::BlockPool.  A Link binds its queue to its context's
+// packet_pool(), which every queue of that context shares, so a part's
+// packet memory tracks the aggregate peak occupancy of its queues.  A
+// queue used on its own (unit tests, micro benches) draws from a pool
+// it owns.
 #pragma once
 
 #include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -18,6 +27,7 @@
 #include "net/packet_ring.hpp"
 #include "sim/incident_hooks.hpp"
 #include "sim/metrics.hpp"
+#include "sim/pool.hpp"
 #include "sim/time.hpp"
 #include "sim/unique_function.hpp"
 
@@ -93,6 +103,17 @@ class QueueDiscipline {
     incident_queue_ = queue;
   }
 
+  /// Draws packet storage from `pool` (a Link binds its context's
+  /// packet_pool()).  Only while empty: queued packets keep the blocks
+  /// of the pool they were admitted into.
+  void bind_pool(sim::BlockPool& pool) {
+    assert(fifo_.empty());
+    assert(pool.block_bytes() >= sizeof(Packet));
+    pool_ = &pool;
+  }
+  /// The pool queued packets live in: one block per queued packet.
+  const sim::BlockPool& packet_pool() const { return *pool_; }
+
   const QueueLimits& limits() const { return limits_; }
   /// Hard capacity in packets (kUnlimited when byte-bounded only).
   std::uint64_t capacity_packets() const { return limits_.packets; }
@@ -101,8 +122,9 @@ class QueueDiscipline {
 
  protected:
   explicit QueueDiscipline(QueueLimits limits) : limits_(limits) {
-    // Packet-bounded queues never reallocate: pre-size the ring to the
-    // hard bound (capped so a pathological bound can't balloon memory).
+    // Packet-bounded queues never reallocate their ring of handles:
+    // pre-size it to the hard bound (capped so a pathological bound
+    // can't balloon memory).  The Packets themselves are pooled.
     if (limits_.packets != QueueLimits::kUnlimited) {
       fifo_.reserve(static_cast<std::size_t>(
           std::min<std::uint64_t>(limits_.packets, 65536)));
@@ -146,7 +168,11 @@ class QueueDiscipline {
   bool evict_best_effort_tail();
 
  private:
-  PacketRing fifo_;  // grow-only ring: steady-state churn is alloc-free
+  // Standalone storage, used until bind_pool().  Declared before fifo_
+  // so the handles are destroyed (returning their blocks) first.
+  sim::BlockPool own_pool_{sizeof(Packet)};
+  sim::BlockPool* pool_ = &own_pool_;
+  Ring<sim::PoolPtr<Packet>> fifo_;  // grow-only, handles into *pool_
   std::uint64_t bytes_ = 0;
   std::size_t high_count_ = 0;  // packets of class > 0 at the head
   QueueLimits limits_;

@@ -20,49 +20,26 @@ std::size_t round_up_pow2(std::size_t n) {
 }  // namespace
 
 ShardInbox::ShardInbox(std::size_t capacity)
-    : ring_(round_up_pow2(std::max<std::size_t>(capacity, 2))) {
-  mask_ = ring_.size() - 1;
-}
+    : capacity_(round_up_pow2(std::max<std::size_t>(capacity, 2))) {}
 
 void ShardInbox::push(sim::TimePs deliver_time, Packet&& p) {
   ++pushed_;
-  const std::size_t tail = tail_.load(std::memory_order_relaxed);
-  const std::size_t head = head_.load(std::memory_order_acquire);
-  // Depth after this push, counting the overflow spill: the high-water
-  // mark behind peak_depth() and the telemetry grow-capacity advice.
-  const std::uint64_t depth_after =
-      static_cast<std::uint64_t>(tail - head) + spill_.size() + 1;
-  if (depth_after > peak_depth_) peak_depth_ = depth_after;
-  if (tail - head >= ring_.size()) {
-    // Ring full: spill instead of blocking.  The spill vector is only
-    // touched by the producer during run phases and by the consumer
-    // during drain phases; the epoch barrier orders the two.
-    spill_.push_back(Item{deliver_time, std::move(p)});
-    ++spilled_;
-    return;
-  }
-  Item& slot = ring_[tail & mask_];
-  slot.deliver_time = deliver_time;
-  slot.pkt = std::move(p);
-  tail_.store(tail + 1, std::memory_order_release);
+  if (depth() >= capacity_) ++spilled_;
+  items_.push_back(Item{deliver_time, std::move(p)});
+  // Depth after this push: the high-water mark behind peak_depth() and
+  // the telemetry grow-capacity advice.
+  if (depth() > peak_depth_) peak_depth_ = depth();
 }
 
 bool ShardInbox::pop(Item& out) {
-  const std::size_t head = head_.load(std::memory_order_relaxed);
-  const std::size_t tail = tail_.load(std::memory_order_acquire);
-  if (head != tail) {
-    out = std::move(ring_[head & mask_]);
-    head_.store(head + 1, std::memory_order_release);
-    ++popped_;
-    return true;
+  if (head_ == items_.size()) return false;
+  out = std::move(items_[head_]);
+  ++popped_;
+  if (++head_ == items_.size()) {
+    items_.clear();
+    head_ = 0;
   }
-  if (!spill_.empty()) {
-    out = std::move(spill_.back());
-    spill_.pop_back();
-    ++popped_;
-    return true;
-  }
-  return false;
+  return true;
 }
 
 CrossShardChannel::CrossShardChannel(sim::SimContext& dst_ctx,
@@ -85,9 +62,9 @@ void drain_cross_shard_channels(
   }
   if (scratch.empty()) return;
   // Deterministic total order over everything that arrived this window,
-  // independent of producing link, ring-vs-spill path, or thread
-  // timing: (arrival time, packet uid).  Uids are unique across shards
-  // (per-shard striping), so the order is strict.
+  // independent of producing link, spills, or thread timing: (arrival
+  // time, packet uid).  Uids are unique across shards (per-shard
+  // striping), so the order is strict.
   std::sort(scratch.begin(), scratch.end(),
             [](const auto& a, const auto& b) {
               if (a.second.deliver_time != b.second.deliver_time) {

@@ -11,17 +11,17 @@
 // or thread produced each packet — and schedules the deliveries into
 // the local scheduler.
 //
-// ShardInbox is a lock-free single-producer/single-consumer ring.  The
-// ShardGroup epoch protocol guarantees producers only push during run
-// phases and the consumer only pops during drain phases, with a full
-// barrier between them, so the ring is never contended; the
-// acquire/release atomics make the handoff explicit (and TSan-clean)
-// rather than relying on the barrier alone.  A full ring spills to an
-// overflow vector instead of blocking — spills are counted, never
-// silent, and only touched under the same phase separation.
+// ShardInbox is a plain grow-only vector.  Producers push only during
+// run phases and the consumer pops only during drain phases; the
+// ShardGroup std::barrier between the phases orders every access, so
+// the inbox needs no atomics.  The drain pops FIFO and clears the
+// vector, keeping its capacity, so memory follows the deepest window
+// and a warmed-up channel never allocates.  `capacity` is a depth
+// budget, not storage: a push beyond it still lands (never blocks,
+// never drops) but counts in spilled(), the signal behind the
+// telemetry's grow-capacity advice.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -33,10 +33,10 @@ namespace hwatch::net {
 
 class Node;
 
-/// SPSC ring of in-flight cross-shard packets.  push() is called by the
-/// source shard's worker (producer), pop() by the destination shard's
-/// worker (consumer); the ShardGroup barrier separates the two roles in
-/// time.
+/// Grow-only FIFO of in-flight cross-shard packets.  push() is called
+/// by the source shard's worker (producer), pop() by the destination
+/// shard's worker (consumer); the ShardGroup barrier separates the two
+/// roles in time.
 class HWATCH_SHARD_SHARED ShardInbox {
  public:
   struct Item {
@@ -44,9 +44,9 @@ class HWATCH_SHARD_SHARED ShardInbox {
     Packet pkt;
   };
 
-  /// `capacity` is rounded up to a power of two (ring slots).  One
+  /// `capacity` is the depth budget, rounded up to a power of two.  One
   /// window's worth of transmissions on a single link fits comfortably
-  /// in the default; overflow spills, never drops.
+  /// in the default; deeper windows spill (counted), never drop.
   explicit ShardInbox(std::size_t capacity = 1024);
 
   ShardInbox(const ShardInbox&) = delete;
@@ -56,45 +56,33 @@ class HWATCH_SHARD_SHARED ShardInbox {
   /// destination shard at `deliver_time`.
   void push(sim::TimePs deliver_time, Packet&& p);
 
-  /// Consumer side: dequeue one item; false when empty.  Ring first,
-  /// then the overflow spill (drain sorts afterwards, so the relative
-  /// order here does not matter).
+  /// Consumer side: dequeue the oldest item; false when empty.  Popping
+  /// the last item clears the storage (keeping its capacity).
   bool pop(Item& out);
 
-  bool ring_empty() const {
-    return head_.load(std::memory_order_acquire) ==
-           tail_.load(std::memory_order_acquire);
-  }
+  bool ring_empty() const { return depth() == 0; }
 
   std::uint64_t pushed() const { return pushed_; }
   std::uint64_t popped() const { return popped_; }
-  /// Pushes that missed the ring and took the overflow vector.
+  /// Pushes that found the inbox already holding capacity() items.
   std::uint64_t spilled() const { return spilled_; }
-  std::size_t capacity() const { return ring_.size(); }
+  std::size_t capacity() const { return capacity_; }
 
-  /// High-water mark of the inbox depth (ring + spill) observed at push
-  /// time — the number a grow-capacity decision needs.  Producer-owned
-  /// like pushed()/spilled(): read it from the consumer side only during
-  /// a drain phase (the epoch barrier orders the access).
+  /// High-water mark of the inbox depth observed at push time — the
+  /// number a grow-capacity decision needs.  Producer-owned like
+  /// pushed()/spilled(): read it from the consumer side only during a
+  /// drain phase (the epoch barrier orders the access).
   std::uint64_t peak_depth() const { return peak_depth_; }
 
-  /// Items currently pending (ring + spill).  Consumer-side drain-phase
-  /// view: producers are quiescent, so this is exactly what the next
-  /// drain will pop.
-  std::size_t depth() const {
-    return (tail_.load(std::memory_order_acquire) -
-            head_.load(std::memory_order_acquire)) +
-           spill_.size();
-  }
+  /// Items currently pending.  Consumer-side drain-phase view:
+  /// producers are quiescent, so this is exactly what the next drain
+  /// will pop.
+  std::size_t depth() const { return items_.size() - head_; }
 
  private:
-  std::vector<Item> ring_;
-  std::size_t mask_ = 0;
-  // Producer-owned tail, consumer-owned head; each loads the other's
-  // index with acquire and publishes its own with release.
-  std::atomic<std::size_t> head_{0};
-  std::atomic<std::size_t> tail_{0};
-  std::vector<Item> spill_;  // producer-written, consumer-drained
+  std::vector<Item> items_;  // producer appends, consumer pops from head_
+  std::size_t head_ = 0;     // consumer-side read position
+  std::size_t capacity_;
   std::uint64_t pushed_ = 0;      // producer-side counter
   std::uint64_t spilled_ = 0;     // producer-side counter
   std::uint64_t peak_depth_ = 0;  // producer-side high-water mark

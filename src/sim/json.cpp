@@ -412,7 +412,7 @@ struct Parser {
 }  // namespace
 
 Json Json::parse(std::string_view text, std::string* error) {
-  Parser p{text};
+  Parser p{text, 0, {}};
   Json out;
   if (!p.parse_value(out)) {
     if (error) *error = p.error;

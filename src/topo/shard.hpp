@@ -55,7 +55,7 @@ Part make_part(std::uint64_t seed, std::uint32_t index = 0,
 
 struct ShardedFatTreeConfig : FatTreeConfig {
   std::uint64_t seed = 1;  // base seed; each shard derives its own
-  std::size_t inbox_capacity = 1024;  // per cross-shard channel
+  std::size_t inbox_capacity = 1024;  // per-channel spill budget
 };
 
 /// A fat-tree instantiated as one part per logical shard.  Node ids are

@@ -308,6 +308,59 @@ TEST(AqmConfigTest, ByteModeSizesBufferInBytes) {
   EXPECT_LT(accepted, 300);
 }
 
+TEST(AqmConfigTest, RejectsBuffersThatAdmitNothing) {
+  const auto rejection = [](const AqmConfig& cfg) {
+    return invalid_argument_of(
+        [&] { cfg.make_factory(sim::DataRate::gbps(10)); });
+  };
+  AqmConfig empty;
+  empty.buffer_packets = 0;
+  EXPECT_NE(rejection(empty).find("buffer_packets = 0"), std::string::npos);
+
+  AqmConfig zero_mtu;
+  zero_mtu.byte_mode = true;
+  zero_mtu.mtu_bytes = 0;
+  EXPECT_NE(rejection(zero_mtu).find("mtu_bytes = 0"), std::string::npos);
+  zero_mtu.byte_mode = false;  // the MTU only sizes byte-mode buffers
+  EXPECT_EQ(rejection(zero_mtu), "");
+
+  for (double bad : {0.0, -0.1, 1.5}) {
+    AqmConfig red;
+    red.kind = AqmKind::kRed;
+    red.red_max_p = bad;
+    EXPECT_NE(rejection(red).find("red_max_p"), std::string::npos) << bad;
+    red.red_max_p = 1.0;  // the closed end of (0, 1] is legal
+    red.red_weight = bad;
+    EXPECT_NE(rejection(red).find("red_weight"), std::string::npos) << bad;
+    red.red_weight = 1.0;
+    EXPECT_EQ(rejection(red), "");
+  }
+}
+
+TEST(ScenarioTest, EmptyBuffersAreRejectedForEveryShape) {
+  // Each used to build queues that drop every packet and "complete"
+  // with every flow unfinished.
+  DumbbellScenarioConfig dumbbell = small_scenario();
+  dumbbell.core_aqm.buffer_packets = 0;
+  const std::string a = invalid_argument_of([&] { run_dumbbell(dumbbell); });
+  EXPECT_NE(a.find("buffer_packets = 0"), std::string::npos) << a;
+
+  LeafSpineScenarioConfig leaf_spine;
+  leaf_spine.fabric_aqm.byte_mode = true;
+  leaf_spine.fabric_aqm.mtu_bytes = 0;
+  const std::string b =
+      invalid_argument_of([&] { run_leaf_spine(leaf_spine); });
+  EXPECT_NE(b.find("mtu_bytes = 0"), std::string::npos) << b;
+
+  FatTreeScenarioConfig fat_tree;
+  fat_tree.k = 4;
+  fat_tree.aqm.kind = AqmKind::kRed;
+  fat_tree.aqm.red_weight = 0;
+  const std::string c =
+      invalid_argument_of([&] { run_fat_tree_sharded(fat_tree); });
+  EXPECT_NE(c.find("red_weight"), std::string::npos) << c;
+}
+
 TEST(ScenarioTest, NamesForAqmKinds) {
   EXPECT_EQ(to_string(AqmKind::kDropTail), "droptail");
   EXPECT_EQ(to_string(AqmKind::kRed), "red-ecn");

@@ -91,6 +91,32 @@ TEST(PriorityQueueTest, InterleavedChurnKeepsInvariant) {
   EXPECT_LE(evicted, q.stats().dropped);
 }
 
+TEST(PriorityQueueTest, EvictionAndInsertKeepOneBlockPerQueuedPacket) {
+  // Band inserts and push-out evictions shift handles inside the ring;
+  // every evicted packet must hand its pool block back at once.
+  PriorityQueue q(QueueLimits::in_packets(4));
+  const sim::BlockPool& pool = q.packet_pool();
+  for (int i = 0; i < 4; ++i) q.enqueue(pkt(0, i), 0);
+  q.enqueue(pkt(1, 90), 0);  // inserted at the head, evicts uid 3
+  q.enqueue(pkt(1, 91), 0);  // inserted mid-ring, evicts uid 2
+  EXPECT_EQ(q.stats().dropped, 2u);
+  EXPECT_EQ(pool.stats().outstanding, q.len_packets());
+
+  std::uint64_t x = 11;
+  for (int i = 0; i < 2000; ++i) {
+    x = x * 6364136223846793005ull + 1;
+    if (x % 3 != 0) {
+      q.enqueue(pkt(x % 2 ? 1 : 0, 100 + i), i);
+    } else {
+      q.dequeue(i);
+    }
+    ASSERT_EQ(pool.stats().outstanding, q.len_packets()) << "step " << i;
+  }
+  while (q.dequeue(0)) {
+  }
+  EXPECT_EQ(pool.stats().outstanding, 0u);
+}
+
 TEST(PriorityQueueTest, Name) {
   PriorityQueue q(QueueLimits::in_packets(4));
   EXPECT_EQ(q.name(), "priority2");

@@ -232,6 +232,58 @@ TEST(RedQueueTest, DeterministicForSeed) {
   EXPECT_NE(run(1), run(99));  // overwhelmingly likely
 }
 
+// ------------------------------------------------------------ Storage
+
+TEST(QueueStorageTest, QueuedPacketsEachHoldOnePoolBlock) {
+  DropTailQueue q(250);
+  const sim::BlockPool& pool = q.packet_pool();
+  for (int i = 0; i < 10; ++i) q.enqueue(data_packet(), 0);
+  EXPECT_EQ(pool.stats().outstanding, 10u);
+  EXPECT_EQ(pool.stats().peak_outstanding, 10u);
+
+  while (q.dequeue(0)) {
+  }
+  EXPECT_EQ(pool.stats().outstanding, 0u);
+
+  // Re-filling to the old depth recycles the blocks: hits, no misses.
+  for (int i = 0; i < 10; ++i) q.enqueue(data_packet(), 0);
+  EXPECT_EQ(pool.stats().misses, 10u);
+  EXPECT_EQ(pool.stats().hits, 10u);
+  EXPECT_EQ(pool.stats().outstanding, 10u);
+}
+
+TEST(QueueStorageTest, DroppedPacketsTakeNoBlock) {
+  DropTailQueue q(3);
+  for (int i = 0; i < 5; ++i) q.enqueue(data_packet(), 0);
+  EXPECT_EQ(q.stats().dropped, 2u);
+  EXPECT_EQ(q.packet_pool().stats().outstanding, 3u);
+  EXPECT_EQ(q.packet_pool().stats().peak_outstanding, 3u);
+}
+
+TEST(QueueStorageTest, BoundQueuesShareOnePool) {
+  // What a Link does with its context's packet_pool(): the pool's
+  // memory follows the queues' combined occupancy, not their bounds.
+  sim::BlockPool pool(sizeof(Packet));
+  DropTailQueue a(250);
+  DropTailQueue b(250);
+  a.bind_pool(pool);
+  b.bind_pool(pool);
+  for (int i = 0; i < 6; ++i) a.enqueue(data_packet(), 0);
+  for (int i = 0; i < 4; ++i) b.enqueue(data_packet(), 0);
+  EXPECT_EQ(&a.packet_pool(), &pool);
+  EXPECT_EQ(pool.stats().outstanding, 10u);
+
+  while (a.dequeue(0)) {
+  }
+  for (int i = 0; i < 6; ++i) b.enqueue(data_packet(), 0);
+  EXPECT_EQ(pool.stats().outstanding, 10u);
+  EXPECT_EQ(pool.stats().misses, 10u);  // b reused a's blocks
+  EXPECT_EQ(pool.stats().peak_outstanding, 10u);
+  while (b.dequeue(0)) {
+  }
+  EXPECT_EQ(pool.stats().outstanding, 0u);
+}
+
 // Property sweep: no queue discipline may ever exceed its capacity or
 // lose track of byte counts.
 class QueueCapacityProperty

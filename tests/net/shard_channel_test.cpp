@@ -1,5 +1,5 @@
-// Cross-shard channel plumbing: the SPSC inbox (ring + counted spill
-// overflow) and the drain pass that turns a window's haul into local
+// Cross-shard channel plumbing: the inbox (a FIFO with a counted spill
+// budget) and the drain pass that turns a window's haul into local
 // scheduler events in (deliver_time, packet uid) order.
 #include <gtest/gtest.h>
 
@@ -67,6 +67,25 @@ TEST(ShardInboxTest, OverflowSpillsInsteadOfDropping) {
   box.push(11, make_packet(42));
   ASSERT_TRUE(box.pop(item));
   EXPECT_EQ(item.pkt.uid, 42u);
+}
+
+TEST(ShardInboxTest, SpillsCountDepthNotLifetime) {
+  ShardInbox box(4);
+  ShardInbox::Item item;
+  // A deep window: two pushes find the budget of 4 already used.
+  for (std::uint64_t i = 0; i < 6; ++i) box.push(10, make_packet(i));
+  EXPECT_EQ(box.spilled(), 2u);
+  // The drain empties it.
+  while (box.pop(item)) {
+  }
+  EXPECT_EQ(box.depth(), 0u);
+  // A shallow window after it spills nothing, although the inbox has
+  // now carried more than its budget in total.
+  for (std::uint64_t i = 6; i < 9; ++i) box.push(20, make_packet(i));
+  EXPECT_EQ(box.pushed(), 9u);
+  EXPECT_EQ(box.spilled(), 2u);
+  EXPECT_EQ(box.peak_depth(), 6u);
+  EXPECT_EQ(box.depth(), 3u);
 }
 
 TEST(ShardChannelTest, NullDestinationNodeThrows) {

@@ -201,6 +201,71 @@ TEST(AllocationRegression, ShardedSteadyStateEpochsAreAllocationFree) {
                         << " times over " << events << " events";
 }
 
+/// Pool conservation on the same k=4 DCTCP permutation, stopped
+/// mid-run: every block a part's packet pool has handed out is a packet
+/// waiting in one of that part's queues (HWatch is off, so no shim parks
+/// a SYN), and tearing the links down returns every block.
+TEST(PoolConservation, EveryOutstandingBlockIsAQueuedPacket) {
+  topo::ShardedFatTreeConfig tcfg;
+  tcfg.k = 4;
+  tcfg.qdisc = net::make_dctcp_factory(250, 50);
+  tcfg.seed = 7;
+  topo::ShardedFatTree tree = topo::build_sharded_fat_tree(tcfg);
+  const std::size_t shards = tree.shards.size();
+
+  tcp::TcpConfig t;
+  t.ecn = tcp::EcnMode::kDctcp;
+  std::vector<std::unique_ptr<workload::TrafficManager>> tms;
+  for (std::size_t s = 0; s < shards; ++s) {
+    tms.push_back(
+        std::make_unique<workload::TrafficManager>(*tree.shards[s].net));
+  }
+  const std::size_t n_hosts = tree.hosts.size();
+  const std::uint32_t hosts_per_edge = tree.plan.hosts_per_edge;
+  for (std::size_t i = 0; i < n_hosts; ++i) {
+    const std::size_t j = (i + n_hosts / 2 + 1) % n_hosts;
+    workload::FlowSpec spec;
+    spec.src = tree.hosts[i];
+    spec.dst = tree.hosts[j];
+    spec.dst_net = tree.shards[j / hosts_per_edge].net.get();
+    spec.dst_port = tms[j / hosts_per_edge]->next_port(*spec.dst);
+    spec.transport = tcp::Transport::kDctcp;
+    spec.tcp = t;
+    spec.bytes = tcp::TcpSender::kUnlimited;
+    spec.klass = stats::FlowClass::kLong;
+    tms[i / hosts_per_edge]->add_flow(spec);
+  }
+
+  std::vector<std::pair<net::Node*, net::ShardInbox::Item>> scratch;
+  for (sim::TimePs end = tree.lookahead; end <= sim::milliseconds(5);
+       end += tree.lookahead) {
+    for (auto& part : tree.shards) {
+      net::drain_cross_shard_channels(part.ingress, scratch);
+    }
+    for (auto& part : tree.shards) part.ctx->scheduler().run_until(end);
+  }
+
+  std::uint64_t queued_total = 0;
+  for (std::size_t s = 0; s < shards; ++s) {
+    std::uint64_t queued = 0;
+    for (const auto& link : tree.shards[s].net->links()) {
+      queued += link->qdisc().len_packets();
+    }
+    EXPECT_EQ(tree.shards[s].ctx->packet_pool().stats().outstanding, queued)
+        << "part " << s;
+    queued_total += queued;
+  }
+  EXPECT_GT(queued_total, 0u) << "stopped with every queue empty";
+
+  // Flows first (they reference the networks), then each part's links.
+  tms.clear();
+  for (std::size_t s = 0; s < shards; ++s) {
+    tree.shards[s].net.reset();
+    EXPECT_EQ(tree.shards[s].ctx->packet_pool().stats().outstanding, 0u)
+        << "part " << s;
+  }
+}
+
 /// The counting hook itself works — otherwise the zero above proves
 /// nothing.
 TEST(AllocationRegression, HookCountsAllocations) {
