@@ -555,16 +555,18 @@ ScenarioResults run_scenario(const ScenarioSpec& spec) {
     // Runs after the scheduler stops, so none of this touches the hot
     // path.
     std::vector<const sim::SpanTracer*> tracers;
-    tracers.reserve(n);
-    for (const topo::Part& part : parts) {
-      part.ctx->tracer().close_open_spans(part.ctx->now());
-      tracers.push_back(&part.ctx->tracer());
+    std::vector<std::string> process_names;
+    for (std::size_t p = 0; p < n; ++p) {
+      parts[p].ctx->tracer().close_open_spans(parts[p].ctx->now());
+      tracers.push_back(&parts[p].ctx->tracer());
+      process_names.push_back(n > 1 ? label + "/shard" + std::to_string(p)
+                                    : label);
     }
     std::ostringstream spans;
     sim::dump_jsonl_merged(tracers, spans);
     res.trace_spans_jsonl = spans.str();
     std::ostringstream chrome;
-    sim::export_chrome_merged(tracers, chrome, label);
+    sim::export_chrome_merged(tracers, chrome, process_names);
     res.trace_chrome = chrome.str();
     // The per-worker epoch timeline is wall-clock data: a separate
     // artifact, never merged into the byte-compared exports above.

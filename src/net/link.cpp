@@ -5,6 +5,7 @@
 
 #include "net/node.hpp"
 #include "net/shard_channel.hpp"
+#include "net/trace.hpp"
 
 namespace hwatch::net {
 
@@ -41,21 +42,12 @@ EnqueueOutcome Link::transmit(Packet&& p) {
   return outcome;
 }
 
-// Attributes a latency component to the packet's flow span, trying the
-// wire direction first and the reverse (ACK path) second so both halves
-// of a connection land on the same flow.  Unregistered flows (probes,
-// port collisions) fall through to flow_span 0: context-wide histogram
-// only.
+// Attributes a latency component to the packet's flow span (either
+// direction, see traced_flow_span).  Unregistered flows (probes, port
+// collisions) fall through to flow_span 0: context-wide histogram only.
 static void attribute_latency(sim::SpanTracer& tr, const Packet& p,
                               sim::LatencyComponent c, sim::TimePs dt) {
-  const FlowKey key = flow_key_of(p);
-  auto [hi, lo] = flow_key_words(key);
-  std::uint64_t fs = tr.flow_span_of(hi, lo);
-  if (fs == 0) {
-    auto [rhi, rlo] = flow_key_words(key.reversed());
-    fs = tr.flow_span_of(rhi, rlo);
-  }
-  tr.add_latency(fs, c, dt);
+  tr.add_latency(traced_flow_span(tr, p), c, dt);
 }
 
 void Link::start_transmission() {

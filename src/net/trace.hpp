@@ -2,14 +2,18 @@
 //
 // Install a PacketTracer on any host to record the packets crossing its
 // hypervisor hooks (both directions), optionally filtered by a
-// predicate, and dump them as one-line-per-packet text for debugging or
-// offline analysis.  Tests also use it to assert on exact packet
+// predicate.  Each packet becomes a kPacket instant in the context's
+// SpanTracer, on the track of the flow it belongs to, with its header
+// fields in the tracer's side table.  Packets thus share the span
+// store's enabled()/max_events()/dropped() gate, its JSONL dump (one
+// "ph":"i","kind":"packet" line each) and its Chrome export, and
+// tools/trace_inspect reads them like any other trace line.  Tests read
+// SpanTracer::events() + packet_of() to assert on exact packet
 // sequences.
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
-#include <vector>
+#include <utility>
 
 #include "net/filter.hpp"
 #include "net/packet.hpp"
@@ -18,35 +22,26 @@
 
 namespace hwatch::net {
 
-struct TraceEntry {
-  sim::TimePs time;
-  bool outbound;  // false = inbound
-  Packet packet;  // header snapshot at hook time
-};
-
-struct TracerConfig {
-  /// Master switch, checked before anything else per packet: a disabled
-  /// tracer costs one branch per hook, never a predicate call.  (The
-  /// tracer is a filter, so removing it from the chain is the other way
-  /// to turn it off; this flag lets owners keep it installed.)
-  bool enabled = true;
-  /// Stop recording beyond this many entries (the counters keep
-  /// counting); protects long runs from unbounded memory.
-  std::size_t max_entries = 100'000;
-  /// Record only packets matching this predicate (default: all).
-  /// Move-only, which makes TracerConfig itself move-only.
-  sim::UniqueFunction<bool(const Packet&)> predicate;
-  /// Structured event-trace mode: when set, every matching packet is
-  /// written immediately as one JSON object per line (JSONL) to this
-  /// stream — unbounded by max_entries, so long runs can stream to a
-  /// file and be analyzed offline with tools/trace_inspect.
-  std::ostream* jsonl_sink = nullptr;
-};
+/// The flow span a packet belongs to: its wire direction's, else the
+/// reverse direction's (the ACK path), so both halves of a connection
+/// land on the same flow.  0 when neither direction is registered
+/// (probes, untraced senders).
+inline std::uint64_t traced_flow_span(const sim::SpanTracer& tr,
+                                      const Packet& p) {
+  const FlowKey key = flow_key_of(p);
+  const auto [hi, lo] = flow_key_words(key);
+  if (const std::uint64_t fs = tr.flow_span_of(hi, lo); fs != 0) return fs;
+  const auto [rhi, rlo] = flow_key_words(key.reversed());
+  return tr.flow_span_of(rhi, rlo);
+}
 
 class PacketTracer final : public PacketFilter {
  public:
-  explicit PacketTracer(sim::SimContext& ctx, TracerConfig config = {})
-      : ctx_(ctx), cfg_(std::move(config)) {}
+  /// Records only packets matching the predicate (default: all).
+  using Predicate = sim::UniqueFunction<bool(const Packet&)>;
+
+  explicit PacketTracer(sim::SimContext& ctx, Predicate predicate = {})
+      : ctx_(ctx), predicate_(std::move(predicate)) {}
 
   FilterVerdict on_outbound(Packet& p) override {
     record(p, /*outbound=*/true);
@@ -57,50 +52,39 @@ class PacketTracer final : public PacketFilter {
     return FilterVerdict::kPass;
   }
 
-  const std::vector<TraceEntry>& entries() const { return entries_; }
-  std::uint64_t total_seen() const { return seen_; }
-  bool truncated() const { return seen_ > entries_.size(); }
-  void clear() {
-    entries_.clear();
-    seen_ = 0;
-    counts_ = Counts{};
+ private:
+  void record(const Packet& p, bool outbound) {
+    sim::SpanTracer& tr = ctx_.tracer();
+    // Tracing off costs one branch per hook, never a predicate call.
+    if (!tr.enabled()) return;
+    if (predicate_ && !predicate_(p)) return;
+    sim::PacketRecord r;
+    r.uid = p.uid;
+    r.seq = p.tcp.seq;
+    r.ack = p.tcp.ack;
+    r.src = p.ip.src;
+    r.dst = p.ip.dst;
+    r.sport = p.tcp.src_port;
+    r.dport = p.tcp.dst_port;
+    r.payload = p.payload_bytes;
+    r.wire = p.size_bytes();
+    r.train = p.probe_train_id;
+    r.rwnd = p.tcp.rwnd_raw;
+    r.flags = static_cast<std::uint8_t>(
+        (p.tcp.syn ? sim::PacketRecord::kSyn : 0) |
+        (p.tcp.ack_flag ? sim::PacketRecord::kAck : 0) |
+        (p.tcp.fin ? sim::PacketRecord::kFin : 0) |
+        (p.tcp.rst ? sim::PacketRecord::kRst : 0) |
+        (p.tcp.ece ? sim::PacketRecord::kEce : 0) |
+        (p.tcp.cwr ? sim::PacketRecord::kCwr : 0));
+    r.ecn = static_cast<std::uint8_t>(p.ip.ecn);
+    r.probe = p.kind == PacketKind::kProbe;
+    r.outbound = outbound;
+    tr.packet(ctx_.now(), traced_flow_span(tr, p), r);
   }
 
-  /// Packets counted per rough category over the whole run.
-  struct Counts {
-    std::uint64_t data = 0;
-    std::uint64_t acks = 0;
-    std::uint64_t syn = 0;   // SYN and SYN-ACK
-    std::uint64_t fin = 0;
-    std::uint64_t probes = 0;
-    std::uint64_t ce_marked = 0;
-  };
-  const Counts& counts() const { return counts_; }
-
-  /// One line per recorded entry:
-  ///   <time_s> <+|-> <describe()>
-  /// ('+' = outbound from the traced host, '-' = inbound to it).
-  void dump(std::ostream& os) const;
-
-  /// Recorded entries as JSONL (one JSON object per line), the same
-  /// format the streaming `jsonl_sink` mode emits.
-  void dump_jsonl(std::ostream& os) const;
-
-  /// Writes one packet as a single-line JSON object:
-  ///   {"t_ps":..,"dir":"out","uid":..,"kind":"tcp","src":..,"dst":..,
-  ///    "sport":..,"dport":..,"seq":..,"ack":..,"flags":"SA","payload":..,
-  ///    "wire":..,"ecn":"ce","rwnd":..,"train":..}
-  static void write_jsonl(std::ostream& os, sim::TimePs time, bool outbound,
-                          const Packet& p);
-
- private:
-  void record(const Packet& p, bool outbound);
-
   sim::SimContext& ctx_;
-  TracerConfig cfg_;
-  std::vector<TraceEntry> entries_;
-  std::uint64_t seen_ = 0;
-  Counts counts_;
+  Predicate predicate_;
 };
 
 }  // namespace hwatch::net

@@ -50,65 +50,21 @@ void ShardGroup::run(TimePs horizon, TimePs window) {
     now_ = std::max(now_, horizon);
     return;
   }
-  if (threads_ <= 1 || tasks_.size() == 1) {
-    run_sequential(horizon, window);
-  } else {
-    run_parallel(horizon, window);
-  }
-  now_ = horizon;
-}
-
-void ShardGroup::dump_flight_on_error(const std::exception_ptr& error) {
-  if (telemetry_ == nullptr) return;
-  try {
-    std::rethrow_exception(error);
-  } catch (const std::exception& e) {
-    telemetry_->note_error(e.what());
-  } catch (...) {
-    telemetry_->note_error("unknown exception");
-  }
-  // A flight-dir configuration error must never mask the shard's own
-  // exception (our caller rethrows it next); the dump already fell
-  // back to stderr, so only the message is left to report.
-  try {
-    telemetry_->dump_flight("shard_exception");
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-  }
-}
-
-void ShardGroup::run_sequential(TimePs horizon, TimePs window) {
-  ShardTelemetry* const tel = telemetry_;
-  try {
-    for (TimePs t = now_; t < horizon;) {
-      if (tel != nullptr) tel->worker_mark(0, ShardTelemetry::Mark::kDrain);
-      TimePs next = kTimeNever;
-      for (ShardTask* task : tasks_) {
-        task->drain(t);
-        next = std::min(next, task->next_event_time());
-      }
-      const TimePs end = next_window_end(t, window, horizon, next);
-      if (tel != nullptr) tel->worker_mark(0, ShardTelemetry::Mark::kRun);
-      for (ShardTask* task : tasks_) task->run(end);
-      if (tel != nullptr) tel->epoch_end(end, horizon);
-      ++epochs_;
-      t = end;
-    }
-  } catch (...) {
-    dump_flight_on_error(std::current_exception());
-    throw;
-  }
-  if (tel != nullptr) tel->worker_mark(0, ShardTelemetry::Mark::kEnd);
-}
-
-void ShardGroup::run_parallel(TimePs horizon, TimePs window) {
   const std::size_t n = tasks_.size();
   const unsigned workers =
       static_cast<unsigned>(std::min<std::size_t>(threads_, n));
-  std::barrier<> sync(static_cast<std::ptrdiff_t>(workers));
   std::atomic<bool> failed{false};
   std::exception_ptr first_error;
   std::mutex error_mu;
+  // `stop` is written only by the barrier's completion step, which runs
+  // once every worker has arrived and before any is released, so all
+  // workers read the same value between two barriers and leave the loop
+  // together.
+  bool stop = false;
+  const auto on_barrier = [&]() noexcept {
+    stop = failed.load(std::memory_order_relaxed);
+  };
+  std::barrier sync(static_cast<std::ptrdiff_t>(workers), on_barrier);
 
   const auto guard = [&](auto&& fn) {
     if (failed.load(std::memory_order_relaxed)) return;
@@ -123,8 +79,9 @@ void ShardGroup::run_parallel(TimePs horizon, TimePs window) {
 
   // Static shard ownership: worker w always runs shards w, w+workers,
   // ... — the assignment (and with it every per-shard event order) does
-  // not depend on scheduling luck.  On error, workers keep arriving at
-  // the barriers (skipping the work) so nobody deadlocks.
+  // not depend on scheduling luck.  A failure stops every worker at the
+  // next barrier; its epoch is neither counted nor closed, which keeps
+  // the flight ring anchored at the failure.
   //
   // The skip decision needs no barrier of its own: each owner writes
   // its shards' next-event slots before the drain barrier, and no slot
@@ -151,6 +108,7 @@ void ShardGroup::run_parallel(TimePs horizon, TimePs window) {
         tel->worker_mark(w, ShardTelemetry::Mark::kBarrier);
       }
       sync.arrive_and_wait();
+      if (stop) break;
       const TimePs end = next_window_end(
           t, window, horizon, *std::min_element(next_.begin(), next_.end()));
       if (tel != nullptr) tel->worker_mark(w, ShardTelemetry::Mark::kRun);
@@ -161,10 +119,8 @@ void ShardGroup::run_parallel(TimePs horizon, TimePs window) {
         tel->worker_mark(w, ShardTelemetry::Mark::kBarrier);
       }
       sync.arrive_and_wait();
-      // Stop closing epochs once a shard failed: the remaining epochs
-      // are no-ops (guard skips the work), and freezing the epoch
-      // counter keeps the flight ring anchored at the failure.
-      if (w == 0 && !failed.load(std::memory_order_relaxed)) {
+      if (stop) break;
+      if (w == 0) {
         ++epochs_;
         if (tel != nullptr) tel->epoch_end(end, horizon);
       }
@@ -173,6 +129,7 @@ void ShardGroup::run_parallel(TimePs horizon, TimePs window) {
     if (tel != nullptr) tel->worker_mark(w, ShardTelemetry::Mark::kEnd);
   };
 
+  // One worker runs inline on the caller's thread and spawns none.
   std::vector<std::thread> pool;
   pool.reserve(workers - 1);
   for (unsigned w = 1; w < workers; ++w) {
@@ -184,6 +141,26 @@ void ShardGroup::run_parallel(TimePs horizon, TimePs window) {
   if (first_error) {
     dump_flight_on_error(first_error);
     std::rethrow_exception(first_error);
+  }
+  now_ = horizon;
+}
+
+void ShardGroup::dump_flight_on_error(const std::exception_ptr& error) {
+  if (telemetry_ == nullptr) return;
+  try {
+    std::rethrow_exception(error);
+  } catch (const std::exception& e) {
+    telemetry_->note_error(e.what());
+  } catch (...) {
+    telemetry_->note_error("unknown exception");
+  }
+  // A flight-dir configuration error must never mask the shard's own
+  // exception (our caller rethrows it next); the dump already fell
+  // back to stderr, so only the message is left to report.
+  try {
+    telemetry_->dump_flight("shard_exception");
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s\n", e.what());
   }
 }
 

@@ -79,10 +79,10 @@ class HWATCH_SHARD_CONFINED ShardTask {
 
 class HWATCH_SHARD_SHARED ShardGroup {
  public:
-  /// `threads` = worker threads executing the shard tasks; values above
-  /// the shard count are clamped.  1 runs everything sequentially on
-  /// the calling thread (the determinism baseline — no thread machinery
-  /// at all).
+  /// `threads` = workers executing the shard tasks; values above the
+  /// shard count are clamped.  Worker 0 is the calling thread, so 1
+  /// runs everything sequentially and starts no thread (the
+  /// determinism baseline).
   explicit ShardGroup(unsigned threads = 1);
   ~ShardGroup();
 
@@ -116,8 +116,6 @@ class HWATCH_SHARD_SHARED ShardGroup {
   std::uint64_t epochs() const { return epochs_; }
 
  private:
-  void run_sequential(TimePs horizon, TimePs window);
-  void run_parallel(TimePs horizon, TimePs window);
   void dump_flight_on_error(const std::exception_ptr& error);
 
   unsigned threads_;

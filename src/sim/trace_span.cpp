@@ -1,25 +1,87 @@
 #include "sim/trace_span.hpp"
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
+#include <istream>
 #include <ostream>
 
+#include "sim/json.hpp"
 #include "sim/random.hpp"
 
 namespace hwatch::sim {
 
 namespace {
 
-void write_named_args(std::ostream& os, const SpanTracer::ArgNames& names,
-                      const TraceEvent& ev, bool leading_comma) {
+constexpr const char* kEcnNames[4] = {"not-ect", "ect1", "ect0", "ce"};
+// PacketRecord flag bits, lowest first.
+constexpr char kFlagChars[] = "SAFREC";
+
+void write_packet_args(std::ostream& os, const PacketRecord& p) {
+  os << ",\"dir\":\"" << (p.outbound ? "out" : "in") << "\",\"uid\":" << p.uid
+     << ",\"type\":\"" << (p.probe ? "probe" : "tcp") << "\",\"src\":" << p.src
+     << ",\"dst\":" << p.dst << ",\"sport\":" << p.sport
+     << ",\"dport\":" << p.dport << ",\"seq\":" << p.seq
+     << ",\"ack\":" << p.ack << ",\"flags\":\"";
+  for (std::size_t i = 0; kFlagChars[i] != '\0'; ++i) {
+    if ((p.flags >> i) & 1u) os << kFlagChars[i];
+  }
+  os << "\",\"payload\":" << p.payload << ",\"wire\":" << p.wire
+     << ",\"ecn\":\"" << kEcnNames[p.ecn & 3u] << "\",\"rwnd\":" << p.rwnd
+     << ",\"train\":" << p.train;
+}
+
+// The kind-specific payload of an event, each field preceded by a comma.
+void write_event_args(std::ostream& os, const SpanTracer& tr,
+                      const TraceEvent& ev) {
+  if (ev.kind == SpanKind::kPacket) {
+    write_packet_args(os, tr.packet_of(ev));
+    return;
+  }
+  const SpanTracer::ArgNames& names = SpanTracer::arg_names(ev.kind);
   const char* n[4] = {names.a, names.b, names.c, names.d};
   const std::uint64_t v[4] = {ev.a, ev.b, ev.c, ev.d};
-  bool first = !leading_comma;
   for (int i = 0; i < 4; ++i) {
-    if (n[i] == nullptr) continue;
-    if (!first) os << ',';
-    first = false;
-    os << '"' << n[i] << "\":" << v[i];
+    if (n[i] != nullptr) os << ",\"" << n[i] << "\":" << v[i];
   }
+}
+
+std::uint64_t uint_field(const Json& j, std::string_view key) {
+  const Json* v = j.find(key);
+  return v != nullptr ? v->as_uint() : 0;
+}
+
+std::string_view str_field(const Json& j, std::string_view key) {
+  const Json* v = j.find(key);
+  return v != nullptr ? std::string_view(v->as_string()) : std::string_view();
+}
+
+PacketRecord packet_from(const Json& j) {
+  PacketRecord p;
+  p.uid = uint_field(j, "uid");
+  p.seq = uint_field(j, "seq");
+  p.ack = uint_field(j, "ack");
+  p.src = static_cast<std::uint32_t>(uint_field(j, "src"));
+  p.dst = static_cast<std::uint32_t>(uint_field(j, "dst"));
+  p.sport = static_cast<std::uint16_t>(uint_field(j, "sport"));
+  p.dport = static_cast<std::uint16_t>(uint_field(j, "dport"));
+  p.payload = static_cast<std::uint32_t>(uint_field(j, "payload"));
+  p.wire = static_cast<std::uint32_t>(uint_field(j, "wire"));
+  p.train = static_cast<std::uint32_t>(uint_field(j, "train"));
+  p.rwnd = static_cast<std::uint16_t>(uint_field(j, "rwnd"));
+  for (const char c : str_field(j, "flags")) {
+    const char* at = std::strchr(kFlagChars, c);
+    if (c != '\0' && at != nullptr) {
+      p.flags |= static_cast<std::uint8_t>(1u << (at - kFlagChars));
+    }
+  }
+  const std::string_view ecn = str_field(j, "ecn");
+  for (std::uint8_t e = 0; e < 4; ++e) {
+    if (ecn == kEcnNames[e]) p.ecn = e;
+  }
+  p.probe = str_field(j, "type") == "probe";
+  p.outbound = str_field(j, "dir") == "out";
+  return p;
 }
 
 void write_flow_name(std::ostream& os, const SpanTracer::FlowInfo& f) {
@@ -27,8 +89,9 @@ void write_flow_name(std::ostream& os, const SpanTracer::FlowInfo& f) {
      << (f.key_hi & 0xffffffffull) << ':' << (f.key_lo & 0xffffull);
 }
 
-}  // namespace
-
+// A picosecond time as exact fixed-point microseconds (six fractional
+// digits, no floating point): the `ts` format of the Chrome export, so
+// merged exports stay byte-deterministic.
 void write_ts_us(std::ostream& os, TimePs t) {
   char buf[40];
   const auto v = static_cast<unsigned long long>(t);
@@ -36,6 +99,8 @@ void write_ts_us(std::ostream& os, TimePs t) {
                 v % 1000000ull);
   os << buf;
 }
+
+}  // namespace
 
 std::string_view to_string(SpanKind k) {
   switch (k) {
@@ -55,6 +120,8 @@ std::string_view to_string(SpanKind k) {
       return "decision";
     case SpanKind::kRwndWrite:
       return "rwnd_write";
+    case SpanKind::kPacket:
+      return "packet";
   }
   return "?";
 }
@@ -86,6 +153,7 @@ const SpanTracer::ArgNames& SpanTracer::arg_names(SpanKind k) {
       {"probes", nullptr, "train", nullptr},                    // kProbeTrain
       {"x_um", "x_m", "immediate_pkts", "deferred_pkts"},       // kDecision
       {"rwnd_bytes", "raw_old", "raw_new", "synack"},           // kRwndWrite
+      {nullptr, nullptr, nullptr, nullptr},  // kPacket: PacketRecord fields
   }};
   return kNames[static_cast<std::size_t>(k)];
 }
@@ -162,6 +230,21 @@ std::uint64_t SpanTracer::instant(TimePs t, SpanKind kind,
   return id;
 }
 
+std::uint64_t SpanTracer::packet(TimePs t, std::uint64_t flow,
+                                 const PacketRecord& p) {
+  if (!enabled_) return 0;
+  const std::uint64_t id = ++next_id_;
+  TraceEvent ev;
+  ev.t = t;
+  ev.span = id;
+  ev.flow = flow;
+  ev.a = packets_.size();
+  ev.kind = SpanKind::kPacket;
+  ev.phase = 'i';
+  if (record(ev)) packets_.push_back(p);
+  return id;
+}
+
 void SpanTracer::close_open_spans(TimePs t) {
   if (!enabled_) return;
   // Spans begun later carry higher ids; closing in descending id order
@@ -174,16 +257,14 @@ void SpanTracer::close_open_spans(TimePs t) {
 void SpanTracer::register_flow(std::uint64_t key_hi, std::uint64_t key_lo,
                                std::uint64_t flow_span) {
   if (!enabled_ || flow_span == 0) return;
-  const std::uint64_t k = mix64(key_hi, key_lo);
-  const auto it = flow_index_.find(k);
-  if (it != flow_index_.end()) {
-    // Port reuse (or a mix collision): the newest flow owns the key.
-    flows_.push_back(FlowInfo{flow_span, key_hi, key_lo});
-    it->second = flows_.size() - 1;
-    return;
-  }
+  add_flow(key_hi, key_lo, flow_span);
+}
+
+void SpanTracer::add_flow(std::uint64_t key_hi, std::uint64_t key_lo,
+                          std::uint64_t flow_span) {
+  // Port reuse (or a mix collision): the newest flow owns the key.
   flows_.push_back(FlowInfo{flow_span, key_hi, key_lo});
-  flow_index_.emplace(k, flows_.size() - 1);
+  flow_index_[mix64(key_hi, key_lo)] = flows_.size() - 1;
 }
 
 std::uint64_t SpanTracer::flow_span_of(std::uint64_t key_hi,
@@ -224,7 +305,7 @@ void SpanTracer::dump_jsonl(std::ostream& os) const {
     os << "{\"t_ps\":" << ev.t << ",\"ph\":\"" << ev.phase
        << "\",\"kind\":\"" << to_string(ev.kind) << "\",\"id\":" << ev.span
        << ",\"parent\":" << ev.parent << ",\"flow\":" << ev.flow;
-    write_named_args(os, arg_names(ev.kind), ev, /*leading_comma=*/true);
+    write_event_args(os, *this, ev);
     os << "}\n";
   }
   for (const FlowInfo& f : flows_) {
@@ -243,13 +324,86 @@ void SpanTracer::dump_jsonl(std::ostream& os) const {
   }
 }
 
+bool SpanTracer::load_jsonl(std::istream& in, std::string* error) {
+  std::string line;
+  std::uint64_t lineno = 0;
+  const auto fail = [&](std::string_view what) {
+    if (error != nullptr) {
+      *error = "line " + std::to_string(lineno) + ": " + std::string(what);
+    }
+    return false;
+  };
+  while (std::getline(in, line)) {
+    ++lineno;
+    if (line.empty()) continue;
+    std::string err;
+    const Json j = Json::parse(line, &err);
+    if (!err.empty() || !j.is_object()) {
+      return fail(err.empty() ? "not an object" : err);
+    }
+    const std::string_view ph = str_field(j, "ph");
+    if (ph == "F") {
+      add_flow(uint_field(j, "src") << 32 | uint_field(j, "dst"),
+               uint_field(j, "sport") << 16 | uint_field(j, "dport"),
+               uint_field(j, "id"));
+    } else if (ph == "L") {
+      LatencyAccum& acc = latency_[uint_field(j, "flow")];
+      for (std::size_t c = 0; c < kLatencyComponents; ++c) {
+        const std::string name(to_string(static_cast<LatencyComponent>(c)));
+        acc.total_ps[c] = static_cast<TimePs>(uint_field(j, name + "_ps"));
+        acc.samples[c] = uint_field(j, name + "_samples");
+      }
+    } else if (ph == "D") {
+      dropped_ += uint_field(j, "dropped_events");
+    } else if (ph == "B" || ph == "E" || ph == "i") {
+      TraceEvent ev;
+      const std::string_view kind = str_field(j, "kind");
+      std::size_t k = 0;
+      while (k < kSpanKinds && to_string(static_cast<SpanKind>(k)) != kind) {
+        ++k;
+      }
+      if (k == kSpanKinds) {
+        return fail("unknown kind \"" + std::string(kind) + "\"");
+      }
+      ev.kind = static_cast<SpanKind>(k);
+      if (ev.kind == SpanKind::kPacket && ph != "i") {
+        return fail("a packet record is an instant (\"ph\":\"i\")");
+      }
+      ev.phase = ph[0];
+      ev.t = static_cast<TimePs>(uint_field(j, "t_ps"));
+      ev.span = uint_field(j, "id");
+      ev.parent = uint_field(j, "parent");
+      ev.flow = uint_field(j, "flow");
+      if (ev.kind == SpanKind::kPacket) {
+        ev.a = packets_.size();
+        packets_.push_back(packet_from(j));
+      } else {
+        const ArgNames& n = arg_names(ev.kind);
+        if (n.a != nullptr) ev.a = uint_field(j, n.a);
+        if (n.b != nullptr) ev.b = uint_field(j, n.b);
+        if (n.c != nullptr) ev.c = uint_field(j, n.c);
+        if (n.d != nullptr) ev.d = uint_field(j, n.d);
+      }
+      events_.push_back(ev);
+    } else {
+      return fail("not a trace record (\"ph\" is not F/B/E/i/L/D)");
+    }
+  }
+  std::stable_sort(
+      events_.begin(), events_.end(),
+      [](const TraceEvent& a, const TraceEvent& b) { return a.t < b.t; });
+  return true;
+}
+
 void dump_jsonl_merged(const std::vector<const SpanTracer*>& parts,
                        std::ostream& os) {
   for (const SpanTracer* p : parts) p->dump_jsonl(os);
 }
 
 void export_chrome_merged(const std::vector<const SpanTracer*>& parts,
-                          std::ostream& os, std::string_view process_name) {
+                          std::ostream& os,
+                          const std::vector<std::string>& process_names,
+                          const Json* incidents) {
   std::uint64_t dropped = 0;
   for (const SpanTracer* p : parts) dropped += p->dropped();
   os << "{\"schema\":\"hwatch.trace_export/v1\",\"displayTimeUnit\":\"ms\""
@@ -262,25 +416,26 @@ void export_chrome_merged(const std::vector<const SpanTracer*>& parts,
   };
 
   // Metadata (ph "M", exempt from the ts-sorted invariant) up front: one
-  // process per shard, one flow track per flow within its shard.
+  // process per part, one flow track per flow within its part.  `meta`
+  // opens the record; the caller writes the quoted name and closes it.
+  const auto meta = [&](const char* what, std::size_t pid, std::size_t tid) {
+    emit_sep();
+    os << "{\"name\":\"" << what << "\",\"ph\":\"M\",\"pid\":" << pid
+       << ",\"tid\":" << tid << ",\"args\":{\"name\":";
+  };
   std::vector<std::unordered_map<std::uint64_t, std::uint64_t>> tid_of(
       parts.size());
   for (std::size_t s = 0; s < parts.size(); ++s) {
-    const std::uint64_t pid = s + 1;
-    emit_sep();
-    os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << pid
-       << ",\"tid\":0,\"args\":{\"name\":\"" << process_name;
-    if (parts.size() > 1) os << "/shard" << s;
-    os << "\"}}";
-    std::uint64_t next_tid = 1;
+    meta("process_name", s + 1, 0);
+    Json::write_escaped(os, process_names[s]);
+    os << "}}";
     for (const SpanTracer::FlowInfo& f : parts[s]->flows()) {
-      if (tid_of[s].emplace(f.span, next_tid).second) {
-        emit_sep();
-        os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" << pid
-           << ",\"tid\":" << next_tid << ",\"args\":{\"name\":\"";
+      const std::size_t tid = tid_of[s].size() + 1;
+      if (tid_of[s].emplace(f.span, tid).second) {
+        meta("thread_name", s + 1, tid);
+        os << '"';
         write_flow_name(os, f);
         os << "\"}}";
-        ++next_tid;
       }
     }
   }
@@ -290,9 +445,46 @@ void export_chrome_merged(const std::vector<const SpanTracer*>& parts,
     return it == tid_of[s].end() ? 0 : it->second;
   };
 
-  // K-way merge by (t, shard index); within a shard events are already
-  // in recording order (nondecreasing t), so global ts stays sorted.
+  // Incidents: a B and an E per incident on the next pid, one track per
+  // location in order of first appearance, stable-sorted by time.
+  struct IncidentSlice {
+    TimePs t = 0;
+    char phase = 'B';
+    std::size_t tid = 0;
+    const Json* inc = nullptr;
+  };
+  std::vector<IncidentSlice> slices;
+  if (incidents != nullptr && incidents->is_array()) {
+    std::vector<std::string_view> locations;
+    meta("process_name", parts.size() + 1, 0);
+    os << "\"incidents\"}}";
+    for (const Json& inc : incidents->items()) {
+      const std::string_view loc = str_field(inc, "location");
+      auto it = std::find(locations.begin(), locations.end(), loc);
+      if (it == locations.end()) {
+        locations.push_back(loc);
+        it = locations.end() - 1;
+        meta("thread_name", parts.size() + 1, locations.size());
+        Json::write_escaped(os, loc);
+        os << "}}";
+      }
+      const auto tid = static_cast<std::size_t>(it - locations.begin()) + 1;
+      slices.push_back({static_cast<TimePs>(uint_field(inc, "start_ps")), 'B',
+                        tid, &inc});
+      slices.push_back({static_cast<TimePs>(uint_field(inc, "end_ps")), 'E',
+                        tid, &inc});
+    }
+    std::stable_sort(slices.begin(), slices.end(),
+                     [](const IncidentSlice& a, const IncidentSlice& b) {
+                       return a.t < b.t;
+                     });
+  }
+
+  // K-way merge by (t, part index), incidents last on ties; within a
+  // part events are in recording order (nondecreasing t), so global ts
+  // stays sorted.
   std::vector<std::size_t> cursor(parts.size(), 0);
+  std::size_t next_slice = 0;
   TimePs t_end = 0;
   for (;;) {
     std::size_t best = parts.size();
@@ -302,6 +494,22 @@ void export_chrome_merged(const std::vector<const SpanTracer*>& parts,
           parts[s]->events()[cursor[s]].t < parts[best]->events()[cursor[best]].t) {
         best = s;
       }
+    }
+    if (next_slice < slices.size() &&
+        (best == parts.size() ||
+         slices[next_slice].t < parts[best]->events()[cursor[best]].t)) {
+      const IncidentSlice& sl = slices[next_slice++];
+      if (sl.t > t_end) t_end = sl.t;
+      emit_sep();
+      os << "{\"name\":";
+      Json::write_escaped(os, str_field(*sl.inc, "kind"));
+      os << ",\"cat\":\"incident\",\"ph\":\"" << sl.phase << "\",\"ts\":";
+      write_ts_us(os, sl.t);
+      os << ",\"pid\":" << (parts.size() + 1) << ",\"tid\":" << sl.tid
+         << ",\"args\":{\"incident\":" << uint_field(*sl.inc, "id")
+         << ",\"severity\":" << uint_field(*sl.inc, "severity")
+         << ",\"magnitude\":" << uint_field(*sl.inc, "magnitude") << "}}";
+      continue;
     }
     if (best == parts.size()) break;
     const TraceEvent& ev = parts[best]->events()[cursor[best]++];
@@ -313,8 +521,7 @@ void export_chrome_merged(const std::vector<const SpanTracer*>& parts,
     os << ",\"pid\":" << (best + 1) << ",\"tid\":" << tid_for(best, ev.flow);
     if (ev.phase == 'i') os << ",\"s\":\"t\"";
     os << ",\"args\":{\"span\":" << ev.span << ",\"parent\":" << ev.parent;
-    write_named_args(os, SpanTracer::arg_names(ev.kind), ev,
-                     /*leading_comma=*/true);
+    write_event_args(os, *parts[best], ev);
     os << "}}";
   }
 

@@ -1,4 +1,5 @@
-// SpanTracer — causal span/event tracing for one simulation instance.
+// SpanTracer — causal span/event tracing for one simulation instance,
+// and the one trace store of the simulator.
 //
 // Where MetricsRegistry answers "how many", the tracer answers "which
 // observation caused which decision on which flow, and where did the
@@ -7,15 +8,18 @@
 // lifecycle (connect -> slow start -> recovery/RTO episodes -> FIN),
 // the HWatch decision chain (probe tallies -> window_policy plan ->
 // rwnd rewrite) and per-packet latency attribution (queueing vs
-// transmission vs propagation vs retransmission wait) all link together
-// and export to Chrome trace-event / Perfetto JSON
-// (schema `hwatch.trace_export/v1`).
+// transmission vs propagation vs retransmission wait) all link together.
+// Packet records (net::PacketTracer) are kPacket instants on the track
+// of the flow they belong to; their header fields ride in a side table.
+// One JSONL dump holds all of it, loads back (load_jsonl) and exports
+// to Chrome trace-event / Perfetto JSON (schema
+// `hwatch.trace_export/v1`) through export_chrome_merged.
 //
 // Overhead discipline (same as MetricsRegistry): disabled, every hook
-// costs one predictable branch — begin_span/end_span/instant/add_latency
-// test `enabled_` and return, no allocation, no hashing.  Callers that
-// need more than one call per hook site guard the whole block with
-// enabled() so the hot path keeps a single branch.
+// costs one predictable branch — begin_span/end_span/instant/packet/
+// add_latency test `enabled_` and return, no allocation, no hashing.
+// Callers that need more than one call per hook site guard the whole
+// block with enabled() so the hot path keeps a single branch.
 //
 // Determinism: span ids, timestamps and payloads derive only from
 // simulated state, so the JSONL dump and the Chrome export are
@@ -27,6 +31,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <map>
+#include <string>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
@@ -34,6 +39,8 @@
 #include "sim/time.hpp"
 
 namespace hwatch::sim {
+
+class Json;
 
 enum class SpanKind : std::uint8_t {
   kFlow = 0,     // connect -> FIN acked (one per TcpSender)
@@ -44,8 +51,9 @@ enum class SpanKind : std::uint8_t {
   kProbeTrain,   // HWatch probe train span (SYN held -> SYN released)
   kDecision,     // window_policy decision (instant with an id)
   kRwndWrite,    // rwnd field rewritten on the wire (instant)
+  kPacket,       // packet crossing a traced host hook (instant)
 };
-inline constexpr std::size_t kSpanKinds = 8;
+inline constexpr std::size_t kSpanKinds = 9;
 
 std::string_view to_string(SpanKind k);
 
@@ -73,6 +81,29 @@ struct TraceEvent {
   std::uint64_t a = 0, b = 0, c = 0, d = 0;
   SpanKind kind = SpanKind::kFlow;
   char phase = 'B';  // 'B' begin, 'E' end, 'i' instant
+};
+
+/// Header fields of one traced packet, as plain integers so the sim
+/// layer stays below net (net::PacketTracer fills it).  A kPacket
+/// event's `a` slot indexes the tracer's side table of these.
+struct PacketRecord {
+  // TCP flag bits, in the order the JSONL "flags" string spells them.
+  static constexpr std::uint8_t kSyn = 1, kAck = 2, kFin = 4, kRst = 8,
+                                kEce = 16, kCwr = 32;
+  static constexpr std::uint8_t kEcnCe = 3;  // the CE codepoint
+  std::uint64_t uid = 0;
+  std::uint64_t seq = 0;
+  std::uint64_t ack = 0;
+  std::uint32_t src = 0, dst = 0;
+  std::uint16_t sport = 0, dport = 0;
+  std::uint32_t payload = 0;
+  std::uint32_t wire = 0;  // frame size on the wire
+  std::uint32_t train = 0;  // probe train id
+  std::uint16_t rwnd = 0;   // raw 16-bit window field
+  std::uint8_t flags = 0;
+  std::uint8_t ecn = 0;     // RFC 3168 codepoint
+  bool probe = false;       // HWatch probe (else TCP)
+  bool outbound = false;    // leaving the traced host (else arriving)
 };
 
 class SpanTracer {
@@ -117,6 +148,11 @@ class SpanTracer {
                         std::uint64_t b = 0, std::uint64_t c = 0,
                         std::uint64_t d = 0);
 
+  /// Records a packet as a kPacket instant on `flow`'s track (0 = no
+  /// registered flow), through the same enabled/max_events gate as
+  /// every other event.  Returns the minted id (0 when disabled).
+  std::uint64_t packet(TimePs t, std::uint64_t flow, const PacketRecord& p);
+
   /// Closes every still-open span (LIFO, so Perfetto's per-track stacks
   /// stay balanced).  Scenario runners call this at end of run.
   void close_open_spans(TimePs t);
@@ -153,6 +189,11 @@ class SpanTracer {
   // ---- inspection / export -------------------------------------------
   const std::vector<TraceEvent>& events() const { return events_; }
 
+  /// Header fields of a kPacket event.
+  const PacketRecord& packet_of(const TraceEvent& ev) const {
+    return packets_[ev.a];
+  }
+
   /// Kind-specific names for TraceEvent::a..d (nullptr = unused slot).
   struct ArgNames {
     const char* a = nullptr;
@@ -163,8 +204,18 @@ class SpanTracer {
   static const ArgNames& arg_names(SpanKind k);
 
   /// One JSON object per line: flow registrations ("ph":"F"), events
-  /// ("ph":"B"/"E"/"i") and per-flow latency summaries ("ph":"L").
+  /// ("ph":"B"/"E"/"i"; packets are "ph":"i","kind":"packet" lines
+  /// carrying the header fields), per-flow latency summaries ("ph":"L")
+  /// and the dropped-events trailer ("ph":"D").
   void dump_jsonl(std::ostream& os) const;
+
+  /// Appends the lines of a dump_jsonl (or dump_jsonl_merged) output:
+  /// the events, stable-sorted by time, so a merged multi-part dump
+  /// loads as one time-ordered part.  Loading one tracer's own dump
+  /// gives a tracer that dumps and exports the same bytes.  Returns
+  /// false and fills *error ("line N: ...") on a line that is not JSON
+  /// or not a trace record.
+  bool load_jsonl(std::istream& in, std::string* error);
 
  private:
   struct OpenSpan {
@@ -174,12 +225,15 @@ class SpanTracer {
   };
 
   bool record(const TraceEvent& ev);
+  void add_flow(std::uint64_t key_hi, std::uint64_t key_lo,
+                std::uint64_t flow_span);
 
   bool enabled_ = false;
   std::size_t max_events_ = 1u << 20;
   std::uint64_t next_id_ = 0;
   std::uint64_t dropped_ = 0;
   std::vector<TraceEvent> events_;
+  std::vector<PacketRecord> packets_;  // indexed by kPacket events' `a`
   // Ordered so close_open_spans is deterministic and LIFO by id.
   // hwlint: allow(hot-path-container) — tracing only, off unless enabled
   std::map<std::uint64_t, OpenSpan> open_;
@@ -187,11 +241,6 @@ class SpanTracer {
   std::unordered_map<std::uint64_t, std::uint64_t> flow_index_;  // mixed key
   std::unordered_map<std::uint64_t, LatencyAccum> latency_;
 };
-
-/// Writes a picosecond time as exact fixed-point microseconds (six
-/// fractional digits, no floating point): the `ts` format of every
-/// Chrome trace export, so merged exports stay byte-deterministic.
-void write_ts_us(std::ostream& os, TimePs t);
 
 /// Merged JSONL dump for sharded runs: the per-shard sections in shard
 /// order (the order of `parts`, which the topology fixes), so the bytes
@@ -202,12 +251,16 @@ void dump_jsonl_merged(const std::vector<const SpanTracer*>& parts,
 
 /// Chrome trace-event JSON (schema `hwatch.trace_export/v1`): object
 /// form with a sorted `traceEvents` array; loads directly in Perfetto.
-/// One pid per tracer (part s -> pid s+1, process name
-/// "<process_name>/shard<s>", or just `process_name` for a single
-/// tracer), all span events k-way merged by (timestamp, shard index) so
-/// `ts` stays globally sorted — the invariant the CI trace checker
-/// enforces.
+/// One pid per tracer (part s -> pid s+1, named `process_names[s]`),
+/// one track per flow, all events k-way merged by (timestamp, part
+/// index) so `ts` stays globally sorted — the invariant the CI trace
+/// checker enforces.  `incidents`, when given, is a manifest's
+/// hwatch.incidents/v1 incident array: each incident becomes a B/E
+/// slice on one more process ("incidents"), one track per location,
+/// merged into the same time order.
 void export_chrome_merged(const std::vector<const SpanTracer*>& parts,
-                          std::ostream& os, std::string_view process_name);
+                          std::ostream& os,
+                          const std::vector<std::string>& process_names,
+                          const Json* incidents = nullptr);
 
 }  // namespace hwatch::sim

@@ -44,28 +44,15 @@ PeriodicSampler make_queue_sampler(sim::Scheduler& sched, net::Link& link,
 UtilizationSampler::UtilizationSampler(sim::Scheduler& sched,
                                        net::Link& link, sim::TimePs interval,
                                        sim::TimePs until)
-    : sched_(sched), link_(link), interval_(interval), until_(until) {
-  sched_.schedule_in(interval_, [this] { tick(); });
-}
-
-void UtilizationSampler::tick() {
-  const sim::TimePs now = sched_.now();
-  const sim::TimePs busy = link_.busy_time();
-  const double util = static_cast<double>(busy - last_busy_) /
-                      static_cast<double>(interval_);
-  last_busy_ = busy;
-  series_.push_back(TimePoint{now, std::min(util, 1.0)});
-  if (now + interval_ <= until_) {
-    sched_.schedule_in(interval_, [this] { tick(); });
-  }
-}
-
-double UtilizationSampler::mean() const {
-  if (series_.empty()) return 0;
-  double sum = 0;
-  for (const auto& p : series_) sum += p.value;
-  return sum / static_cast<double>(series_.size());
-}
+    : PeriodicSampler(
+          sched, interval, until,
+          [&link, interval, last_busy = sim::TimePs{0}](sim::TimePs) mutable {
+            const sim::TimePs busy = link.busy_time();
+            const double util = static_cast<double>(busy - last_busy) /
+                                static_cast<double>(interval);
+            last_busy = busy;
+            return std::min(util, 1.0);
+          }) {}
 
 MetricsSampler::MetricsSampler(sim::SimContext& ctx, sim::TimePs interval,
                                sim::TimePs until)
@@ -92,20 +79,13 @@ void MetricsSampler::tick() {
 
 ThroughputSampler::ThroughputSampler(sim::Scheduler& sched, net::Link& link,
                                      sim::TimePs interval, sim::TimePs until)
-    : sched_(sched), link_(link), interval_(interval), until_(until) {
-  sched_.schedule_in(interval_, [this] { tick(); });
-}
-
-void ThroughputSampler::tick() {
-  const sim::TimePs now = sched_.now();
-  const std::uint64_t bytes = link_.bytes_delivered();
-  const double bits = static_cast<double>(bytes - last_bytes_) * 8.0;
-  last_bytes_ = bytes;
-  series_.push_back(
-      TimePoint{now, bits / sim::to_seconds(interval_) / 1e9});
-  if (now + interval_ <= until_) {
-    sched_.schedule_in(interval_, [this] { tick(); });
-  }
-}
+    : PeriodicSampler(
+          sched, interval, until,
+          [&link, interval, last_bytes = std::uint64_t{0}](sim::TimePs) mutable {
+            const std::uint64_t bytes = link.bytes_delivered();
+            const double bits = static_cast<double>(bytes - last_bytes) * 8.0;
+            last_bytes = bytes;
+            return bits / sim::to_seconds(interval) / 1e9;
+          }) {}
 
 }  // namespace hwatch::stats

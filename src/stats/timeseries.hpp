@@ -24,13 +24,16 @@ struct TimePoint {
 using TimeSeries = std::vector<TimePoint>;
 
 /// Calls `sample(now)` every `interval` until `until` and records the
-/// returned value.
+/// returned value.  Stateful samplers keep their state in the closure.
 class PeriodicSampler {
  public:
   using SampleFn = std::function<double(sim::TimePs)>;
 
   PeriodicSampler(sim::Scheduler& sched, sim::TimePs interval,
                   sim::TimePs until, SampleFn sample);
+  // The scheduled tick holds `this`.
+  PeriodicSampler(const PeriodicSampler&) = delete;
+  PeriodicSampler& operator=(const PeriodicSampler&) = delete;
 
   const TimeSeries& series() const { return series_; }
 
@@ -56,23 +59,10 @@ PeriodicSampler make_queue_sampler(sim::Scheduler& sched, net::Link& link,
 
 /// Samples a link's utilization over each interval (busy-time delta /
 /// interval, in [0, 1]).
-class UtilizationSampler {
+class UtilizationSampler : public PeriodicSampler {
  public:
   UtilizationSampler(sim::Scheduler& sched, net::Link& link,
                      sim::TimePs interval, sim::TimePs until);
-  const TimeSeries& series() const { return series_; }
-  double mean() const;
-
- private:
-  void tick();
-
-  sim::Scheduler& sched_;
-  net::Link& link_;
-  sim::TimePs interval_;
-  sim::TimePs until_;
-  sim::TimePs last_busy_ = 0;
-  std::uint64_t last_bytes_ = 0;
-  TimeSeries series_;
 };
 
 /// Samples every gauge registered with the context's MetricsRegistry on
@@ -102,21 +92,10 @@ class MetricsSampler {
 };
 
 /// Goodput-over-time: bytes delivered by a link per interval, as Gb/s.
-class ThroughputSampler {
+class ThroughputSampler : public PeriodicSampler {
  public:
   ThroughputSampler(sim::Scheduler& sched, net::Link& link,
                     sim::TimePs interval, sim::TimePs until);
-  const TimeSeries& series() const { return series_; }
-
- private:
-  void tick();
-
-  sim::Scheduler& sched_;
-  net::Link& link_;
-  sim::TimePs interval_;
-  sim::TimePs until_;
-  std::uint64_t last_bytes_ = 0;
-  TimeSeries series_;
 };
 
 }  // namespace hwatch::stats

@@ -7,11 +7,18 @@
 //
 // Re-record only for a deliberate output change: run the suite, copy
 // the printed hashes into the table below, and say why in the commit.
+//
+// The one-part runs also check that `trace_inspect export` of the run's
+// `<label>.spans.jsonl` rebuilds its Chrome export byte for byte: the
+// tool and the run share one writer.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 
 #include "api/scenario.hpp"
@@ -57,6 +64,25 @@ void expect_pinned(const ScenarioResults& res, const Pin& pin) {
       << "span dump bytes moved";
   EXPECT_EQ(hex(fnv1a(res.trace_chrome)), hex(pin.chrome))
       << "chrome export bytes moved";
+}
+
+void expect_cli_export_matches(const ScenarioResults& res) {
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) /
+      ::testing::UnitTest::GetInstance()->current_test_info()->name();
+  std::filesystem::create_directories(dir);
+  const std::filesystem::path spans = dir / (res.manifest.name + ".spans.jsonl");
+  const std::filesystem::path chrome = dir / "cli.trace.json";
+  std::ofstream(spans, std::ios::binary) << res.trace_spans_jsonl;
+  const std::string cmd = std::string(TRACE_INSPECT_BIN) + " export -o '" +
+                          chrome.string() + "' '" + spans.string() + "'";
+  ASSERT_EQ(std::system(cmd.c_str()), 0) << cmd;
+  std::ifstream in(chrome, std::ios::binary);
+  const std::string exported((std::istreambuf_iterator<char>(in)),
+                             std::istreambuf_iterator<char>());
+  EXPECT_EQ(hex(fnv1a(exported)), hex(fnv1a(res.trace_chrome)))
+      << "trace_inspect export differs from the run's trace_chrome";
+  std::filesystem::remove_all(dir);
 }
 
 tcp::TcpConfig quick_tcp(tcp::EcnMode ecn) {
@@ -107,15 +133,17 @@ DumbbellScenarioConfig dumbbell_point(bool hwatch) {
 }
 
 TEST_F(OutputPinDeterminism, DumbbellWithHWatch) {
-  expect_pinned(run_dumbbell(dumbbell_point(true)),
-                {0xbb216d0167d3162dull, 0x773450651fa884e0ull,
-                 0x67495049ee713cc7ull});
+  const ScenarioResults res = run_dumbbell(dumbbell_point(true));
+  expect_pinned(res, {0xbb216d0167d3162dull, 0x773450651fa884e0ull,
+                      0x67495049ee713cc7ull});
+  expect_cli_export_matches(res);
 }
 
 TEST_F(OutputPinDeterminism, DumbbellWithoutHWatch) {
-  expect_pinned(run_dumbbell(dumbbell_point(false)),
-                {0x3d8b82a67d179b32ull, 0xdea97d144bd7459eull,
-                 0x3b0271f9706360e5ull});
+  const ScenarioResults res = run_dumbbell(dumbbell_point(false));
+  expect_pinned(res, {0x3d8b82a67d179b32ull, 0xdea97d144bd7459eull,
+                      0x3b0271f9706360e5ull});
+  expect_cli_export_matches(res);
 }
 
 TEST_F(OutputPinDeterminism, LeafSpineClosedLoop) {
@@ -144,9 +172,10 @@ TEST_F(OutputPinDeterminism, LeafSpineClosedLoop) {
   cfg.collect_metrics = true;
   cfg.trace_spans = true;
   cfg.detect_incidents = true;
-  expect_pinned(run_leaf_spine(cfg),
-                {0xc5d5c74b023f2b74ull, 0x791af83538abc76cull,
-                 0xec5166a80b3fa463ull});
+  const ScenarioResults res = run_leaf_spine(cfg);
+  expect_pinned(res, {0xc5d5c74b023f2b74ull, 0x791af83538abc76cull,
+                      0xec5166a80b3fa463ull});
+  expect_cli_export_matches(res);
 }
 
 FatTreeScenarioConfig fat_tree_point(unsigned shards, bool hwatch) {

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "hwatch/flow_table.hpp"
-#include "hwatch/token_bucket.hpp"
 
 namespace hwatch::core {
 namespace {
@@ -68,34 +67,6 @@ TEST(FlowEntryTest, ApplyDueGrantsFromUnsetAllowance) {
   e.pending_grants.push_back({0, 400});
   e.apply_due_grants(1);
   EXPECT_EQ(e.allowance_bytes.value(), 400u);
-}
-
-TEST(TokenBucketTest, StartsFullAndConsumes) {
-  TokenBucket tb(sim::DataRate::mbps(8), 1000);  // 1 byte/us refill
-  EXPECT_TRUE(tb.try_consume(600, 0));
-  EXPECT_TRUE(tb.try_consume(400, 0));
-  EXPECT_FALSE(tb.try_consume(1, 0));
-}
-
-TEST(TokenBucketTest, RefillsAtRate) {
-  TokenBucket tb(sim::DataRate::mbps(8), 1000);
-  tb.try_consume(1000, 0);
-  // 8 Mb/s = 1 byte/us: after 250 us, 250 tokens.
-  EXPECT_FALSE(tb.try_consume(251, sim::microseconds(250)));
-  EXPECT_TRUE(tb.try_consume(250, sim::microseconds(250)));
-}
-
-TEST(TokenBucketTest, BurstCapsAccumulation) {
-  TokenBucket tb(sim::DataRate::mbps(8), 100);
-  tb.try_consume(100, 0);
-  EXPECT_EQ(tb.tokens(sim::seconds_i(10)), 100u);  // capped at burst
-}
-
-TEST(TokenBucketTest, TimeUntilAvailable) {
-  TokenBucket tb(sim::DataRate::mbps(8), 1000);
-  tb.try_consume(1000, 0);
-  EXPECT_EQ(tb.time_until_available(100, 0), sim::microseconds(100));
-  EXPECT_EQ(tb.time_until_available(0, 0), 0);
 }
 
 }  // namespace

@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <sstream>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "sim/json.hpp"
 #include "tcp/tcp_test_util.hpp"
@@ -13,6 +15,7 @@
 namespace hwatch::net {
 namespace {
 
+using sim::PacketRecord;
 using tcp::testutil::TwoHostNet;
 
 tcp::TcpConfig quick_cfg() {
@@ -23,149 +26,152 @@ tcp::TcpConfig quick_cfg() {
   return c;
 }
 
-TEST(TracerTest, RecordsBothDirectionsOfAConnection) {
-  TwoHostNet h;
-  PacketTracer tracer(h.ctx);
+struct Traced {
+  sim::TimePs t;
+  std::uint64_t flow;
+  PacketRecord p;
+};
+
+/// The packet records in the context's span store, in recording order.
+std::vector<Traced> packets_of(const sim::SpanTracer& tr) {
+  std::vector<Traced> out;
+  for (const sim::TraceEvent& ev : tr.events()) {
+    if (ev.kind != sim::SpanKind::kPacket) continue;
+    out.push_back({ev.t, ev.flow, tr.packet_of(ev)});
+  }
+  return out;
+}
+
+/// Runs one connection a -> b of `segments` full segments with `tracer`
+/// on host a and span tracing on.
+void run_transfer(TwoHostNet& h, PacketTracer& tracer, int segments) {
+  h.ctx.tracer().set_enabled(true);
   h.a->install_filter(&tracer);
   tcp::TcpConnection conn(h.net, *h.a, *h.b, 1000, 80,
                           tcp::Transport::kNewReno, quick_cfg());
-  conn.start(3 * 1442);
+  conn.start(static_cast<std::uint64_t>(segments) * 1442);
   h.sched.run_until(sim::milliseconds(100));
+}
 
-  const auto& c = tracer.counts();
-  EXPECT_EQ(c.syn, 2u);   // SYN out + SYN-ACK in
-  EXPECT_EQ(c.data, 3u);  // three segments out
-  EXPECT_EQ(c.fin, 1u);
-  EXPECT_GE(c.acks, 4u);  // handshake ack + per-segment acks
-  EXPECT_FALSE(tracer.truncated());
+bool has(const PacketRecord& p, std::uint8_t flag) {
+  return (p.flags & flag) != 0;
+}
 
-  // The first entry is the outbound SYN, timestamped at t=0.
-  ASSERT_FALSE(tracer.entries().empty());
-  EXPECT_TRUE(tracer.entries()[0].outbound);
-  EXPECT_TRUE(tracer.entries()[0].packet.is_syn());
-  EXPECT_EQ(tracer.entries()[0].time, 0);
+TEST(TracerTest, RecordsBothDirectionsOfAConnection) {
+  TwoHostNet h;
+  PacketTracer tracer(h.ctx);
+  run_transfer(h, tracer, 3);
+
+  std::uint64_t syn = 0, data = 0, fin = 0, acks = 0;
+  for (const Traced& e : packets_of(h.ctx.tracer())) {
+    if (has(e.p, PacketRecord::kSyn)) {
+      ++syn;
+    } else if (has(e.p, PacketRecord::kFin)) {
+      ++fin;
+    } else if (e.p.payload > 0) {
+      ++data;
+    } else if (has(e.p, PacketRecord::kAck)) {
+      ++acks;
+    }
+  }
+  EXPECT_EQ(syn, 2u);   // SYN out + SYN-ACK in
+  EXPECT_EQ(data, 3u);  // three segments out
+  EXPECT_EQ(fin, 1u);
+  EXPECT_GE(acks, 4u);  // handshake ack + per-segment acks
+  EXPECT_EQ(h.ctx.tracer().dropped(), 0u);
+
+  // The first record is the outbound SYN, timestamped at t=0.
+  const std::vector<Traced> traced = packets_of(h.ctx.tracer());
+  ASSERT_FALSE(traced.empty());
+  EXPECT_TRUE(traced[0].p.outbound);
+  EXPECT_TRUE(has(traced[0].p, PacketRecord::kSyn));
+  EXPECT_FALSE(has(traced[0].p, PacketRecord::kAck));
+  EXPECT_EQ(traced[0].t, 0);
+}
+
+TEST(TracerTest, PacketsLandOnTheirFlowTrack) {
+  TwoHostNet h;
+  PacketTracer tracer(h.ctx);
+  run_transfer(h, tracer, 2);
+  const auto& flows = h.ctx.tracer().flows();
+  ASSERT_EQ(flows.size(), 1u);
+  // Data out and ACKs in both belong to the sender's flow span.
+  bool saw_in = false, saw_out = false;
+  for (const Traced& e : packets_of(h.ctx.tracer())) {
+    EXPECT_EQ(e.flow, flows[0].span);
+    (e.p.outbound ? saw_out : saw_in) = true;
+  }
+  EXPECT_TRUE(saw_in);
+  EXPECT_TRUE(saw_out);
 }
 
 TEST(TracerTest, PredicateFilters) {
   TwoHostNet h;
-  TracerConfig cfg;
-  cfg.predicate = [](const Packet& p) { return p.is_data(); };
-  PacketTracer tracer(h.ctx, std::move(cfg));
-  h.a->install_filter(&tracer);
-  tcp::TcpConnection conn(h.net, *h.a, *h.b, 1000, 80,
-                          tcp::Transport::kNewReno, quick_cfg());
-  conn.start(5 * 1442);
-  h.sched.run_until(sim::milliseconds(100));
-  EXPECT_EQ(tracer.total_seen(), 5u);
-  for (const auto& e : tracer.entries()) {
-    EXPECT_TRUE(e.packet.is_data());
-  }
+  PacketTracer tracer(h.ctx,
+                      [](const Packet& p) { return p.is_data(); });
+  run_transfer(h, tracer, 5);
+  const std::vector<Traced> traced = packets_of(h.ctx.tracer());
+  EXPECT_EQ(traced.size(), 5u);
+  for (const Traced& e : traced) EXPECT_GT(e.p.payload, 0u);
 }
 
-TEST(TracerTest, MaxEntriesTruncatesButKeepsCounting) {
+TEST(TracerTest, DisabledTracingRecordsNothing) {
   TwoHostNet h;
-  TracerConfig cfg;
-  cfg.max_entries = 3;
-  PacketTracer tracer(h.ctx, std::move(cfg));
+  int predicate_calls = 0;
+  PacketTracer tracer(h.ctx, [&](const Packet&) {
+    ++predicate_calls;
+    return true;
+  });
   h.a->install_filter(&tracer);
   tcp::TcpConnection conn(h.net, *h.a, *h.b, 1000, 80,
                           tcp::Transport::kNewReno, quick_cfg());
-  conn.start(10 * 1442);
+  conn.start(1442);
   h.sched.run_until(sim::milliseconds(100));
-  EXPECT_EQ(tracer.entries().size(), 3u);
-  EXPECT_TRUE(tracer.truncated());
-  EXPECT_GT(tracer.total_seen(), 3u);
+  EXPECT_TRUE(h.ctx.tracer().events().empty());
+  EXPECT_EQ(predicate_calls, 0);  // the gate comes before the predicate
+}
+
+// Packets share the span store's cap: records past max_events are
+// counted as dropped, never stored.
+TEST(TracerTest, MaxEntriesTruncatesButKeepsCounting) {
+  TwoHostNet h;
+  h.ctx.tracer().set_max_events(3);
+  PacketTracer tracer(h.ctx);
+  run_transfer(h, tracer, 10);
+  EXPECT_EQ(h.ctx.tracer().events().size(), 3u);
+  EXPECT_GT(h.ctx.tracer().dropped(), 10u);
+  std::ostringstream os;
+  h.ctx.tracer().dump_jsonl(os);
+  EXPECT_NE(os.str().find("\"ph\":\"D\""), std::string::npos);
 }
 
 TEST(TracerTest, DumpFormatsOneLinePerPacket) {
   TwoHostNet h;
   PacketTracer tracer(h.ctx);
-  h.a->install_filter(&tracer);
-  tcp::TcpConnection conn(h.net, *h.a, *h.b, 1000, 80,
-                          tcp::Transport::kNewReno, quick_cfg());
-  conn.start(1442);
-  h.sched.run_until(sim::milliseconds(100));
+  run_transfer(h, tracer, 1);
   std::ostringstream os;
-  tracer.dump(os);
-  const std::string out = os.str();
-  EXPECT_NE(out.find("SYN"), std::string::npos);
-  EXPECT_NE(out.find("DATA"), std::string::npos);
-  EXPECT_NE(out.find(" + "), std::string::npos);
-  EXPECT_NE(out.find(" - "), std::string::npos);
-  EXPECT_EQ(static_cast<std::size_t>(
-                std::count(out.begin(), out.end(), '\n')),
-            tracer.entries().size());
-}
-
-TEST(TracerTest, ClearResets) {
-  TwoHostNet h;
-  PacketTracer tracer(h.ctx);
-  h.a->install_filter(&tracer);
-  tcp::TcpConnection conn(h.net, *h.a, *h.b, 1000, 80,
-                          tcp::Transport::kNewReno, quick_cfg());
-  conn.start(1442);
-  h.sched.run_until(sim::milliseconds(100));
-  EXPECT_GT(tracer.total_seen(), 0u);
-  tracer.clear();
-  EXPECT_EQ(tracer.total_seen(), 0u);
-  EXPECT_TRUE(tracer.entries().empty());
-}
-
-// Regression: clear() used to reset entries and total_seen but leave
-// the per-kind counts, so a cleared tracer reported stale SYN/data
-// tallies.
-TEST(TracerTest, ClearResetsCounts) {
-  TwoHostNet h;
-  PacketTracer tracer(h.ctx);
-  h.a->install_filter(&tracer);
-  tcp::TcpConnection conn(h.net, *h.a, *h.b, 1000, 80,
-                          tcp::Transport::kNewReno, quick_cfg());
-  conn.start(3 * 1442);
-  h.sched.run_until(sim::milliseconds(100));
-  EXPECT_GT(tracer.counts().syn, 0u);
-  EXPECT_GT(tracer.counts().data, 0u);
-  tracer.clear();
-  EXPECT_EQ(tracer.counts().syn, 0u);
-  EXPECT_EQ(tracer.counts().data, 0u);
-  EXPECT_EQ(tracer.counts().acks, 0u);
-  EXPECT_EQ(tracer.counts().fin, 0u);
-  EXPECT_EQ(tracer.counts().probes, 0u);
-  EXPECT_EQ(tracer.counts().ce_marked, 0u);
-}
-
-TEST(TracerTest, JsonlStreamingBypassesMaxEntries) {
-  TwoHostNet h;
-  std::ostringstream jsonl;
-  TracerConfig cfg;
-  cfg.max_entries = 2;  // tiny in-memory cap; the stream sees everything
-  cfg.jsonl_sink = &jsonl;
-  PacketTracer tracer(h.ctx, std::move(cfg));
-  h.a->install_filter(&tracer);
-  tcp::TcpConnection conn(h.net, *h.a, *h.b, 1000, 80,
-                          tcp::Transport::kNewReno, quick_cfg());
-  conn.start(5 * 1442);
-  h.sched.run_until(sim::milliseconds(100));
-
-  EXPECT_EQ(tracer.entries().size(), 2u);
-  const std::string out = jsonl.str();
-  const auto lines = static_cast<std::uint64_t>(
-      std::count(out.begin(), out.end(), '\n'));
-  EXPECT_EQ(lines, tracer.total_seen());
+  h.ctx.tracer().dump_jsonl(os);
+  std::istringstream in(os.str());
+  std::string line;
+  std::size_t packet_lines = 0;
+  while (std::getline(in, line)) {
+    if (line.find("\"kind\":\"packet\"") != std::string::npos) {
+      EXPECT_NE(line.find("\"ph\":\"i\""), std::string::npos) << line;
+      ++packet_lines;
+    }
+  }
+  EXPECT_EQ(packet_lines, packets_of(h.ctx.tracer()).size());
+  EXPECT_GT(packet_lines, 0u);
 }
 
 TEST(TracerTest, JsonlLinesParseAndCarryPacketFields) {
   TwoHostNet h;
-  std::ostringstream jsonl;
-  TracerConfig cfg;
-  cfg.jsonl_sink = &jsonl;
-  PacketTracer tracer(h.ctx, std::move(cfg));
-  h.a->install_filter(&tracer);
-  tcp::TcpConnection conn(h.net, *h.a, *h.b, 1000, 80,
-                          tcp::Transport::kNewReno, quick_cfg());
-  conn.start(1442);
-  h.sched.run_until(sim::milliseconds(100));
+  PacketTracer tracer(h.ctx);
+  run_transfer(h, tracer, 1);
+  std::ostringstream os;
+  h.ctx.tracer().dump_jsonl(os);
 
-  std::istringstream in(jsonl.str());
+  std::istringstream in(os.str());
   std::string line;
   std::size_t parsed = 0;
   bool saw_syn = false;
@@ -174,37 +180,22 @@ TEST(TracerTest, JsonlLinesParseAndCarryPacketFields) {
     const sim::Json j = sim::Json::parse(line, &err);
     ASSERT_TRUE(err.empty()) << err << " in: " << line;
     ASSERT_TRUE(j.is_object());
+    const sim::Json* kind = j.find("kind");
+    if (kind == nullptr || kind->as_string() != "packet") continue;
     for (const char* key :
-         {"t_ps", "dir", "uid", "kind", "src", "dst", "sport", "dport",
-          "seq", "ack", "flags", "payload", "wire", "ecn", "rwnd"}) {
+         {"t_ps", "ph", "id", "parent", "flow", "dir", "uid", "type", "src",
+          "dst", "sport", "dport", "seq", "ack", "flags", "payload", "wire",
+          "ecn", "rwnd", "train"}) {
       EXPECT_NE(j.find(key), nullptr) << "missing " << key;
     }
     if (j.find("flags")->as_string().find('S') != std::string::npos) {
       saw_syn = true;
-      EXPECT_EQ(j.find("kind")->as_string(), "tcp");
+      EXPECT_EQ(j.find("type")->as_string(), "tcp");
     }
     ++parsed;
   }
-  EXPECT_EQ(parsed, tracer.total_seen());
+  EXPECT_EQ(parsed, packets_of(h.ctx.tracer()).size());
   EXPECT_TRUE(saw_syn);
-}
-
-// dump_jsonl replays the in-memory entries in the same line format.
-TEST(TracerTest, DumpJsonlMatchesStreamedPrefix) {
-  TwoHostNet h;
-  std::ostringstream streamed;
-  TracerConfig cfg;
-  cfg.jsonl_sink = &streamed;
-  PacketTracer tracer(h.ctx, std::move(cfg));
-  h.a->install_filter(&tracer);
-  tcp::TcpConnection conn(h.net, *h.a, *h.b, 1000, 80,
-                          tcp::Transport::kNewReno, quick_cfg());
-  conn.start(2 * 1442);
-  h.sched.run_until(sim::milliseconds(100));
-
-  std::ostringstream dumped;
-  tracer.dump_jsonl(dumped);
-  EXPECT_EQ(dumped.str(), streamed.str());
 }
 
 }  // namespace

@@ -8,11 +8,15 @@
 #include <algorithm>
 #include <cstddef>
 #include <memory>
+#include <sstream>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "sim/json.hpp"
 #include "sim/shard_group.hpp"
+#include "sim/shard_telemetry.hpp"
 #include "sim/time.hpp"
 
 namespace hwatch::sim {
@@ -134,6 +138,59 @@ TEST(ShardGroupTest, ParallelRethrowsTaskError) {
   // Workers keep arriving at the barriers after a failure, so this must
   // rethrow rather than deadlock.
   EXPECT_THROW(g.run(100, 30), std::runtime_error);
+}
+
+// With a 1-ps window, epoch k (counting from 1) runs through t = k.
+struct FailsInEpochSixTask final : ShardTask {
+  void drain(TimePs) override {}
+  void run(TimePs window_end) override {
+    if (window_end == 6) throw std::runtime_error("epoch 6 failed");
+  }
+};
+
+// Every worker leaves the epoch loop at the first failure instead of
+// walking the remaining windows with stale state: the group, the shard
+// calls and the wall-clock worker timeline all end at the failing epoch.
+TEST(ShardGroupTest, StopsAtTheFirstFailure) {
+  for (unsigned threads : {1u, 2u}) {
+    ShardTelemetry::Config cfg;
+    cfg.shard_count = 2;
+    cfg.workers = threads;
+    cfg.label = "stop";
+    cfg.wall_spans = true;
+    ShardTelemetry tel(std::move(cfg));
+    ShardGroup g(threads);
+    RecordingTask ok;
+    FailsInEpochSixTask bad;
+    g.add(&ok);
+    g.add(&bad);
+    g.set_telemetry(&tel);
+    EXPECT_THROW(g.run(2000, 1), std::runtime_error) << threads;
+    EXPECT_EQ(g.epochs(), 5u) << threads;
+    // The healthy shard sees no window past the failing one (its own
+    // run of that window may or may not happen first).
+    ASSERT_FALSE(ok.calls.empty());
+    EXPECT_LE(ok.calls.size(), 12u) << threads;
+    EXPECT_LE(ok.calls.back().t, 6) << threads;
+
+    std::ostringstream os;
+    tel.export_chrome_workers(os, "stop");
+    std::string err;
+    const Json doc = Json::parse(os.str(), &err);
+    ASSERT_TRUE(err.empty()) << err;
+    std::uint64_t spans = 0, last_epoch = 0;
+    for (const Json& e : doc.find("traceEvents")->items()) {
+      const Json* args = e.find("args");
+      const Json* epoch = args != nullptr ? args->find("epoch") : nullptr;
+      if (epoch == nullptr) continue;
+      ++spans;
+      last_epoch = std::max(last_epoch, epoch->as_uint());
+    }
+    // Epochs 0..5 in the timeline's numbering; at most drain, barrier
+    // and run spans for each, per worker.
+    EXPECT_EQ(last_epoch, 5u) << threads;
+    EXPECT_LE(spans, 6u * 4u * threads) << threads;
+  }
 }
 
 // A shard with a fixed set of pending event times.  run(end) executes

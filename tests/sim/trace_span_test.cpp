@@ -205,7 +205,7 @@ TEST(SpanTracer, ExportChromeIsValidAndBalanced) {
   tr.close_open_spans(4'000'000);
 
   std::ostringstream os;
-  export_chrome_merged({&tr}, os, "unit");
+  export_chrome_merged({&tr}, os, {"unit"});
   std::string err;
   Json doc = Json::parse(os.str(), &err);
   ASSERT_TRUE(err.empty()) << err;
@@ -239,13 +239,105 @@ TEST(SpanTracer, ExportIsByteIdenticalAcrossIdenticalRuns) {
     tr.close_open_spans(9);
     std::ostringstream spans, chrome;
     tr.dump_jsonl(spans);
-    export_chrome_merged({&tr}, chrome, "x");
+    export_chrome_merged({&tr}, chrome, {"x"});
     return std::make_pair(spans.str(), chrome.str());
   };
   const auto a = make();
   const auto b = make();
   EXPECT_EQ(a.first, b.first);
   EXPECT_EQ(a.second, b.second);
+}
+
+// A tracer exercising every line type of the dump: flow registrations,
+// B/E/i events with payloads, a packet record, latency summaries and
+// (via the cap) the dropped trailer.
+void fill_every_line_type(SpanTracer& tr) {
+  tr.set_enabled(true);
+  tr.set_max_events(7);
+  const std::uint64_t f = tr.begin_span(0, SpanKind::kFlow, 0, 0, 4096);
+  tr.register_flow(0x100000002ull, 0x30004ull, f);
+  const std::uint64_t hs = tr.begin_span(1, SpanKind::kHandshake, f, f);
+  tr.end_span(2, hs, 1);
+  const std::uint64_t dec =
+      tr.instant(3, SpanKind::kDecision, 0, f, 10, 2, 7, 5);
+  tr.instant(4, SpanKind::kRwndWrite, dec, f, 7210, 65535, 7210, 1);
+  PacketRecord p;
+  p.uid = 42;
+  p.seq = 1ull << 40;
+  p.ack = 7;
+  p.src = 1;
+  p.dst = 2;
+  p.sport = 3;
+  p.dport = 4;
+  p.payload = 1442;
+  p.wire = 1500;
+  p.train = 9;
+  p.rwnd = 65535;
+  p.flags = PacketRecord::kAck | PacketRecord::kEce;
+  p.ecn = 3;
+  p.outbound = true;
+  tr.packet(5, f, p);
+  tr.add_latency(f, LatencyComponent::kQueueing, 42);
+  tr.add_latency(f, LatencyComponent::kRetxWait, 7);
+  tr.close_open_spans(9);
+  tr.instant(10, SpanKind::kDecision, 0, f);  // past the cap: dropped
+}
+
+TEST(SpanTracer, DumpLoadDumpIsIdentity) {
+  SpanTracer tr;
+  fill_every_line_type(tr);
+  ASSERT_GT(tr.dropped(), 0u);
+  std::ostringstream dump;
+  tr.dump_jsonl(dump);
+
+  SpanTracer loaded;
+  std::istringstream in(dump.str());
+  std::string err;
+  ASSERT_TRUE(loaded.load_jsonl(in, &err)) << err;
+  std::ostringstream again;
+  loaded.dump_jsonl(again);
+  EXPECT_EQ(again.str(), dump.str());
+
+  std::ostringstream chrome, chrome_again;
+  export_chrome_merged({&tr}, chrome, {"x"});
+  export_chrome_merged({&loaded}, chrome_again, {"x"});
+  EXPECT_EQ(chrome_again.str(), chrome.str());
+  // The packet record survives field for field.
+  EXPECT_NE(dump.str().find("\"kind\":\"packet\""), std::string::npos);
+  EXPECT_NE(dump.str().find("\"flags\":\"AE\""), std::string::npos);
+  EXPECT_NE(dump.str().find("\"ecn\":\"ce\""), std::string::npos);
+}
+
+TEST(SpanTracer, LoadMergesPartsInTimeOrder) {
+  SpanTracer a, b;
+  a.set_enabled(true);
+  b.set_enabled(true);
+  b.set_id_base(1ull << 40);
+  for (TimePs t : {0, 20, 40}) a.instant(t, SpanKind::kDecision, 0, 0);
+  for (TimePs t : {10, 20, 30}) b.instant(t, SpanKind::kDecision, 0, 0);
+  std::ostringstream merged;
+  dump_jsonl_merged({&a, &b}, merged);
+  SpanTracer loaded;
+  std::istringstream in(merged.str());
+  ASSERT_TRUE(loaded.load_jsonl(in, nullptr));
+  std::vector<TimePs> times;
+  for (const TraceEvent& ev : loaded.events()) times.push_back(ev.t);
+  EXPECT_EQ(times, (std::vector<TimePs>{0, 10, 20, 20, 30, 40}));
+  // Equal times keep input order: part a's event first.
+  EXPECT_EQ(loaded.events()[2].span, 2u);
+}
+
+TEST(SpanTracer, LoadRejectsLinesThatAreNotTraceRecords) {
+  for (const char* bad : {"{\"ph\":\"i\",\"kind\":\"bogus\"}\n",
+                          "{\"ph\":\"B\",\"kind\":\"packet\"}\n",
+                          "{\"t_ps\":1,\"dir\":\"out\"}\n", "not json\n"}) {
+    SpanTracer tr;
+    std::istringstream in(std::string("{\"ph\":\"D\",\"dropped_events\":0}\n") +
+                          bad);
+    std::string err;
+    EXPECT_FALSE(tr.load_jsonl(in, &err)) << bad;
+    EXPECT_EQ(err.rfind("line 2: ", 0), 0u) << err;
+  }
 }
 
 TEST(SpanTracer, ArgNamesCoverEveryKind) {

@@ -1,19 +1,28 @@
 // End-to-end tests of the trace_inspect CLI binary: exit codes (0 ok,
 // 1 usage/unreadable file, 2 malformed input), the per-flow summary
 // counters, repeatable --kind filters, and the merged Chrome export.
+// Packet input is what the simulator emits: a span dump with
+// net::PacketTracer records in it.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <sys/wait.h>
+#include <vector>
 
+#include "hwatch/shim.hpp"
+#include "net/trace.hpp"
 #include "sim/json.hpp"
+#include "tcp/connection.hpp"
+#include "tcp/tcp_test_util.hpp"
 
 namespace {
 
 using hwatch::sim::Json;
+using hwatch::sim::PacketRecord;
 
 std::string run_cli(const std::string& args, int* exit_code) {
   const std::string cmd =
@@ -48,16 +57,57 @@ std::string write_fixture(const std::string& name,
   return path;
 }
 
-/// A miniature packet trace: one CE-marked data packet, its ACK, a SYN
-/// and an HWatch probe, across two flows.
-std::string packet_fixture() {
-  return write_fixture(
-      "ti_packets.jsonl",
-      R"({"t_ps":1000000,"dir":"out","kind":"data","src":1,"dst":2,"sport":40000,"dport":80,"flags":"A","payload":1448,"wire":1500,"ecn":"ce"}
-{"t_ps":2000000,"dir":"in","kind":"ack","src":2,"dst":1,"sport":80,"dport":40000,"flags":"A","payload":0,"wire":52}
-{"t_ps":3000000,"dir":"out","kind":"syn","src":1,"dst":2,"sport":40001,"dport":80,"flags":"S","payload":0,"wire":60}
-{"t_ps":4000000,"dir":"out","kind":"probe","src":1,"dst":2,"sport":40001,"dport":80,"flags":"","payload":0,"wire":38}
-)");
+/// A trace the simulator emits: one DCTCP transfer a -> b through a
+/// step-marking bottleneck, HWatch shims on both hosts and a
+/// PacketTracer on b installed ahead of b's shim (so it sees the probes
+/// before the shim absorbs them), written by SpanTracer::dump_jsonl.
+struct EmittedTrace {
+  std::string path;  // <temp>/<test>_emitted.spans.jsonl
+  std::vector<PacketRecord> packets;
+  std::size_t lines = 0;
+};
+
+EmittedTrace emitted_trace() {
+  using namespace hwatch;
+  tcp::testutil::TwoHostNet h(net::make_dctcp_factory(250, 5));
+  h.ctx.tracer().set_enabled(true);
+  net::PacketTracer tracer(h.ctx);
+  h.b->install_filter(&tracer);
+  core::HWatchConfig cfg;
+  cfg.probe_count = 10;
+  cfg.probe_span = sim::microseconds(20);
+  sim::Rng rng(7);
+  const auto shim_a = core::install_hwatch(h.net, *h.a, cfg, rng.fork());
+  const auto shim_b = core::install_hwatch(h.net, *h.b, cfg, rng.fork());
+  tcp::TcpConfig tc;
+  tc.initial_cwnd_segments = 10;
+  tc.min_rto = sim::milliseconds(10);
+  tc.initial_rto = sim::milliseconds(10);
+  tc.ecn = tcp::EcnMode::kDctcp;
+  tcp::TcpConnection conn(h.net, *h.a, *h.b, 1000, 80,
+                          tcp::Transport::kDctcp, tc);
+  conn.start(60 * 1442);
+  h.sched.run_until(sim::milliseconds(50));
+  h.ctx.tracer().close_open_spans(h.ctx.now());
+
+  EmittedTrace out;
+  out.path = temp_path("emitted.spans.jsonl");
+  std::ostringstream dump;
+  h.ctx.tracer().dump_jsonl(dump);
+  std::ofstream(out.path) << dump.str();
+  for (const char c : dump.str()) out.lines += c == '\n' ? 1 : 0;
+  for (const sim::TraceEvent& ev : h.ctx.tracer().events()) {
+    if (ev.kind == sim::SpanKind::kPacket) {
+      out.packets.push_back(h.ctx.tracer().packet_of(ev));
+    }
+  }
+  return out;
+}
+
+int count_lines(const std::string& text) {
+  int lines = 0;
+  for (char ch : text) lines += ch == '\n' ? 1 : 0;
+  return lines;
 }
 
 /// A miniature span dump in SpanTracer::dump_jsonl's shape: flow
@@ -77,17 +127,49 @@ std::string span_fixture() {
 }
 
 TEST(TraceInspectCli, SummaryCountsPerFlowCategories) {
+  const EmittedTrace trace = emitted_trace();
+  // What the summary must report for the data direction 0:1000 -> 1:80
+  // (a and b are nodes 0 and 1), tallied from the records themselves.
+  std::uint64_t pkts = 0, data = 0, syn = 0, probes = 0, ce = 0, all_ce = 0;
+  for (const PacketRecord& p : trace.packets) {
+    all_ce += p.ecn == PacketRecord::kEcnCe ? 1 : 0;
+    if (p.src != 0 || p.sport != 1000) continue;
+    ++pkts;
+    ce += p.ecn == PacketRecord::kEcnCe ? 1 : 0;
+    probes += p.probe ? 1 : 0;
+    data += !p.probe && p.payload > 0 ? 1 : 0;
+    syn += !p.probe && (p.flags & PacketRecord::kSyn) != 0 ? 1 : 0;
+  }
+  ASSERT_GT(probes, 0u);
+  ASSERT_GT(ce, 0u);
+  ASSERT_GT(data, 0u);
+
   int code = -1;
-  const std::string out = run_cli("summary " + packet_fixture(), &code);
+  const std::string out = run_cli("summary " + trace.path, &code);
   EXPECT_EQ(code, 0);
-  EXPECT_NE(out.find("lines: 4  matched: 4"), std::string::npos) << out;
-  // Flow 1:40000 -> 2:80 carried the data packet; its reverse the ACK;
-  // 1:40001 -> 2:80 the SYN and the probe.
-  EXPECT_NE(out.find("data=1"), std::string::npos) << out;
-  EXPECT_NE(out.find("acks=1"), std::string::npos) << out;
-  EXPECT_NE(out.find("syn=1"), std::string::npos) << out;
-  EXPECT_NE(out.find("probes=1"), std::string::npos) << out;
-  EXPECT_NE(out.find("ce=1"), std::string::npos) << out;
+  const std::string n = std::to_string(trace.lines);
+  EXPECT_NE(out.find("lines: " + n + "  matched: " + n), std::string::npos)
+      << out;
+  EXPECT_NE(out.find("packet=" + std::to_string(trace.packets.size())),
+            std::string::npos)
+      << out;
+  EXPECT_NE(out.find("ce-marked: " + std::to_string(all_ce) + " of " +
+                     std::to_string(trace.packets.size()) + " packets"),
+            std::string::npos)
+      << out;
+  const std::size_t row = out.find("0:1000 -> 1:80  pkts=" +
+                                   std::to_string(pkts) + " ");
+  ASSERT_NE(row, std::string::npos) << out;
+  const std::string line = out.substr(row, out.find('\n', row) - row);
+  EXPECT_NE(line.find(" ce=" + std::to_string(ce) + " "), std::string::npos)
+      << line;
+  EXPECT_NE(line.find(" data=" + std::to_string(data) + " "),
+            std::string::npos)
+      << line;
+  EXPECT_NE(line.find(" syn=" + std::to_string(syn) + " "), std::string::npos)
+      << line;
+  EXPECT_NE(line.find(" probes=" + std::to_string(probes)), std::string::npos)
+      << line;
 }
 
 TEST(TraceInspectCli, FilterAcceptsRepeatedKindFlags) {
@@ -99,19 +181,22 @@ TEST(TraceInspectCli, FilterAcceptsRepeatedKindFlags) {
   EXPECT_NE(out.find("\"kind\":\"decision\""), std::string::npos) << out;
   EXPECT_NE(out.find("\"kind\":\"rwnd_write\""), std::string::npos) << out;
   EXPECT_EQ(out.find("\"kind\":\"flow\""), std::string::npos) << out;
-  int lines = 0;
-  for (char ch : out) lines += ch == '\n' ? 1 : 0;
-  EXPECT_EQ(lines, 2) << out;
+  EXPECT_EQ(count_lines(out), 2) << out;
 }
 
 TEST(TraceInspectCli, SingleKindFilterStillWorks) {
+  const EmittedTrace trace = emitted_trace();
+  int probes = 0;
+  for (const PacketRecord& p : trace.packets) probes += p.probe ? 1 : 0;
+  ASSERT_GT(probes, 0);
   int code = -1;
-  const std::string out =
-      run_cli("filter --kind probe " + packet_fixture(), &code);
+  // A packet line matches its type as well as its kind.
+  EXPECT_EQ(count_lines(run_cli("filter --kind probe " + trace.path, &code)),
+            probes);
   EXPECT_EQ(code, 0);
-  int lines = 0;
-  for (char ch : out) lines += ch == '\n' ? 1 : 0;
-  EXPECT_EQ(lines, 1) << out;
+  EXPECT_EQ(count_lines(run_cli("filter --kind packet " + trace.path, &code)),
+            static_cast<int>(trace.packets.size()));
+  EXPECT_EQ(code, 0);
 }
 
 TEST(TraceInspectCli, BadFlagExitsOneWithUsage) {
@@ -119,6 +204,15 @@ TEST(TraceInspectCli, BadFlagExitsOneWithUsage) {
   const std::string out = run_cli("--no-such-flag", &code);
   EXPECT_EQ(code, 1);
   EXPECT_NE(out.find("usage:"), std::string::npos) << out;
+}
+
+TEST(TraceInspectCli, BadNumberExitsOneWithUsage) {
+  for (const char* args : {"--src abc", "--since x", "--dport 80x"}) {
+    int code = -1;
+    const std::string out = run_cli(std::string(args) + " /dev/null", &code);
+    EXPECT_EQ(code, 1) << args;
+    EXPECT_NE(out.find("usage:"), std::string::npos) << args << ": " << out;
+  }
 }
 
 TEST(TraceInspectCli, UnreadableFileExitsOne) {
@@ -136,9 +230,10 @@ TEST(TraceInspectCli, MalformedLineExitsTwo) {
 }
 
 TEST(TraceInspectCli, ExportMergesSpansAndPackets) {
+  const EmittedTrace trace = emitted_trace();
   int code = -1;
   const std::string out =
-      run_cli("export " + span_fixture() + " " + packet_fixture(), &code);
+      run_cli("export " + trace.path + " " + span_fixture(), &code);
   ASSERT_EQ(code, 0);
   std::string err;
   const Json doc = Json::parse(out, &err);
@@ -150,28 +245,39 @@ TEST(TraceInspectCli, ExportMergesSpansAndPackets) {
   ASSERT_NE(evs, nullptr);
   ASSERT_GT(evs->size(), 0u);
   // Well-formed for Perfetto: non-metadata timestamps sorted, B/E
-  // balanced, and both the span track and the packet track present.
+  // balanced; one process per input file, named after its stem; every
+  // packet on a flow track of the emitted run.
   double last_ts = -1;
   int depth = 0;
-  bool saw_span_pid = false, saw_packet_pid = false;
+  std::size_t packets_on_flow_track = 0;
+  std::vector<std::string> processes;
   for (const Json& e : evs->items()) {
     const Json* ph = e.find("ph");
     ASSERT_NE(ph, nullptr);
-    if (ph->as_string() == "M") continue;
-    const Json* pid = e.find("pid");
-    ASSERT_NE(pid, nullptr);
-    saw_span_pid |= pid->as_int() == 1;
-    saw_packet_pid |= pid->as_int() == 2;
+    if (ph->as_string() == "M") {
+      if (e.find("name")->as_string() == "process_name") {
+        processes.push_back(e.find("args")->find("name")->as_string());
+      }
+      continue;
+    }
     const double ts = e.find("ts")->as_double();
     EXPECT_GE(ts, last_ts);
     last_ts = ts;
     if (ph->as_string() == "B") ++depth;
     if (ph->as_string() == "E") --depth;
     EXPECT_GE(depth, 0);
+    if (e.find("name")->as_string() == "packet") {
+      EXPECT_EQ(e.find("pid")->as_int(), 1);
+      packets_on_flow_track += e.find("tid")->as_int() != 0 ? 1 : 0;
+    }
   }
   EXPECT_EQ(depth, 0);
-  EXPECT_TRUE(saw_span_pid);
-  EXPECT_TRUE(saw_packet_pid);
+  const std::string fixture_stem = "ExportMergesSpansAndPackets_ti_spans";
+  EXPECT_EQ(processes, (std::vector<std::string>{
+                           "ExportMergesSpansAndPackets_emitted",
+                           fixture_stem}));
+  // Probes carry their flow's 4-tuple, so they land on its track too.
+  EXPECT_EQ(packets_on_flow_track, trace.packets.size());
   // Provenance args survive the export.
   EXPECT_NE(out.find("\"x_um\":3"), std::string::npos);
   EXPECT_NE(out.find("\"rwnd_bytes\":7210"), std::string::npos);
@@ -273,28 +379,36 @@ TEST(TraceInspectCli, ExportCarriesIncidentTrack) {
   std::string err;
   const Json doc = Json::parse(out, &err);
   ASSERT_TRUE(err.empty()) << err << "\n" << out;
-  // Incidents land on pid 3 as balanced B/E slices without breaking
-  // the monotonic timestamp order of the merged stream.
+  // Incidents land on their own process, after the one input part, as
+  // balanced B/E slices without breaking the monotonic timestamp order
+  // of the merged stream.
   double last_ts = -1;
-  int pid3_b = 0, pid3_e = 0;
+  std::int64_t incident_pid = -1;
+  int incident_b = 0, incident_e = 0;
   for (const Json& e : doc.find("traceEvents")->items()) {
-    if (e.find("ph")->as_string() == "M") continue;
+    if (e.find("ph")->as_string() == "M") {
+      if (e.find("args")->find("name")->as_string() == "incidents") {
+        incident_pid = e.find("pid")->as_int();
+      }
+      continue;
+    }
     const double ts = e.find("ts")->as_double();
     EXPECT_GE(ts, last_ts);
     last_ts = ts;
-    if (e.find("pid")->as_int() != 3) continue;
-    pid3_b += e.find("ph")->as_string() == "B" ? 1 : 0;
-    pid3_e += e.find("ph")->as_string() == "E" ? 1 : 0;
+    if (e.find("pid")->as_int() != incident_pid) continue;
+    incident_b += e.find("ph")->as_string() == "B" ? 1 : 0;
+    incident_e += e.find("ph")->as_string() == "E" ? 1 : 0;
   }
-  EXPECT_EQ(pid3_b, 1);
-  EXPECT_EQ(pid3_e, 1);
+  EXPECT_EQ(incident_pid, 2);
+  EXPECT_EQ(incident_b, 1);
+  EXPECT_EQ(incident_e, 1);
   EXPECT_NE(out.find("\"incidents\""), std::string::npos);
   EXPECT_NE(out.find("queue-buildup"), std::string::npos);
 }
 
 TEST(TraceInspectCli, ExportIsDeterministic) {
   int code_a = -1, code_b = -1;
-  const std::string fixture = span_fixture() + " " + packet_fixture();
+  const std::string fixture = span_fixture() + " " + emitted_trace().path;
   const std::string a = run_cli("export " + fixture, &code_a);
   const std::string b = run_cli("export " + fixture, &code_b);
   EXPECT_EQ(code_a, 0);

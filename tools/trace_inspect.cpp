@@ -1,6 +1,12 @@
-// trace_inspect — summarize, filter or export the JSONL traces the
-// simulator emits: packet traces (net::PacketTracer jsonl_sink) and
-// span traces (sim::SpanTracer::dump_jsonl).
+// trace_inspect — summarize, filter, export or explain the JSONL traces
+// the simulator emits.  There is one trace format: the dump of
+// sim::SpanTracer (SpanTracer::dump_jsonl, `<label>.spans.jsonl` under
+// HWATCH_TRACE_DIR).  It holds flow registrations ("ph":"F"), span
+// begin/end/instant lines ("ph":"B"/"E"/"i"), packet records from
+// net::PacketTracer ("ph":"i","kind":"packet", with the header fields
+// dir/uid/type/src/dst/sport/dport/seq/ack/flags/payload/wire/ecn/rwnd/
+// train), per-flow latency summaries ("ph":"L") and the dropped-events
+// trailer ("ph":"D").
 //
 // Usage:
 //   trace_inspect [summary] [options] [files...]      aggregate report
@@ -12,37 +18,45 @@
 //                                                     root-cause one flow
 //
 // Options (summary/filter):
-//   --kind K           keep only kind K (repeatable: OR across kinds)
+//   --kind K           keep only kind K (repeatable: OR across kinds); a
+//                      packet line matches its kind "packet" and its
+//                      type "tcp" or "probe"
 //   --dir in|out       keep only one direction
 //   --src N --dst N    filter by node id
 //   --sport N --dport N filter by port
 //   --since S --until S keep t in [S, U] (seconds, fractional ok)
 //   --ce               keep only CE-marked packets
 //
-// `export` merges packet lines and span lines from every input into one
-// Chrome trace-event JSON object (schema `hwatch.trace_export/v1`) that
-// loads directly in Perfetto: span begin/end pairs become nested slices
-// on one track per flow, packets and decisions become instants.  With
-// --manifest pointing at a run manifest carrying an `incidents` section
-// (schema hwatch.incidents/v1), the incidents ride along as a third
-// process with one track per location.
+// `export` loads each input file as one part (SpanTracer::load_jsonl)
+// and writes them through sim::export_chrome_merged, the exporter the
+// run itself uses: Chrome trace-event JSON (schema
+// `hwatch.trace_export/v1`) that loads directly in Perfetto, one
+// process per file named after the file stem, one track per flow, span
+// begin/end pairs as nested slices, packets and decisions as instants.
+// So `export <label>.spans.jsonl` reproduces the run's own
+// `<label>.trace.json` byte for byte.  With --manifest pointing at a run
+// manifest carrying an `incidents` section (schema hwatch.incidents/v1),
+// the incidents ride along as one more process with one track per
+// location.
 //
 // `explain` is the root-cause doctor: FLOW is a flow-span id or a
 // "src:sport->dst:dport" tuple; the report joins the flow's spans, its
-// per-packet latency decomposition and the manifest's overlapping
-// incidents into a causal FCT breakdown ("slow because: ...").
+// packets, its per-packet latency decomposition and the manifest's
+// overlapping incidents into a causal FCT breakdown ("slow because:
+// ...").
 //
 // Files default to stdin.  Exit codes: 0 ok, 1 bad usage / unreadable
 // file / flow not found, 2 malformed input line.
 #include <algorithm>
-#include <cinttypes>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
+#include <deque>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <map>
 #include <optional>
+#include <stdexcept>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -54,7 +68,12 @@
 namespace {
 
 using hwatch::sim::Json;
-using hwatch::sim::write_ts_us;
+using hwatch::sim::kLatencyComponents;
+using hwatch::sim::LatencyComponent;
+using hwatch::sim::PacketRecord;
+using hwatch::sim::SpanKind;
+using hwatch::sim::SpanTracer;
+using hwatch::sim::TraceEvent;
 
 enum class Mode { kSummary, kFilter, kExport, kExplain };
 
@@ -83,6 +102,22 @@ int usage(const char* argv0) {
       << "  --src N --dst N --sport N --dport N\n"
       << "  --since SECONDS --until SECONDS\n";
   return 1;
+}
+
+// Whole-string numbers: trailing junk or a sign throws like no digits
+// at all, and main turns every throw into the usage error.
+std::uint64_t to_uint(const std::string& v) {
+  std::size_t used = 0;
+  const std::uint64_t n = std::stoull(v, &used);
+  if (used != v.size() || v[0] == '-') throw std::invalid_argument(v);
+  return n;
+}
+
+double to_seconds(const std::string& v) {
+  std::size_t used = 0;
+  const double s = std::stod(v, &used);
+  if (used != v.size()) throw std::invalid_argument(v);
+  return s;
 }
 
 bool parse_args(int argc, char** argv, Options& opt) {
@@ -124,17 +159,17 @@ bool parse_args(int argc, char** argv, Options& opt) {
     } else if (a == "--dir" && (v = need(i))) {
       opt.dir = v;
     } else if (a == "--src" && (v = need(i))) {
-      opt.src = std::stoull(v);
+      opt.src = to_uint(v);
     } else if (a == "--dst" && (v = need(i))) {
-      opt.dst = std::stoull(v);
+      opt.dst = to_uint(v);
     } else if (a == "--sport" && (v = need(i))) {
-      opt.sport = std::stoull(v);
+      opt.sport = to_uint(v);
     } else if (a == "--dport" && (v = need(i))) {
-      opt.dport = std::stoull(v);
+      opt.dport = to_uint(v);
     } else if (a == "--since" && (v = need(i))) {
-      opt.since_s = std::stod(v);
+      opt.since_s = to_seconds(v);
     } else if (a == "--until" && (v = need(i))) {
-      opt.until_s = std::stod(v);
+      opt.until_s = to_seconds(v);
     } else if (a == "-o" && (v = need(i))) {
       if (opt.mode != Mode::kExport) return false;
       opt.out_file = v;
@@ -164,9 +199,12 @@ std::string get_str(const Json& j, const char* key) {
 
 bool matches(const Json& j, const Options& opt) {
   if (!opt.kinds.empty()) {
-    const std::string k = get_str(j, "kind");
-    if (std::find(opt.kinds.begin(), opt.kinds.end(), k) ==
-        opt.kinds.end()) {
+    const auto listed = [&](const std::string& k) {
+      return !k.empty() &&
+             std::find(opt.kinds.begin(), opt.kinds.end(), k) !=
+                 opt.kinds.end();
+    };
+    if (!listed(get_str(j, "kind")) && !listed(get_str(j, "type"))) {
       return false;
     }
   }
@@ -207,7 +245,15 @@ struct Summary {
 
 void accumulate(const Json& j, Summary& s) {
   ++s.matched;
-  ++s.by_kind[get_str(j, "kind")];
+  const std::string kind = get_str(j, "kind");
+  if (!kind.empty()) ++s.by_kind[kind];
+  if (j.find("t_ps") != nullptr) {
+    const std::uint64_t t = get_uint(j, "t_ps");
+    if (t < s.t_min) s.t_min = t;
+    if (t > s.t_max) s.t_max = t;
+  }
+  // The rest tallies packet lines only.
+  if (kind != "packet") return;
   const std::string flags = get_str(j, "flags");
   if (flags.find('S') != std::string::npos) ++s.by_flag["syn"];
   if (flags.find('F') != std::string::npos) ++s.by_flag["fin"];
@@ -216,9 +262,6 @@ void accumulate(const Json& j, Summary& s) {
   if (get_str(j, "ecn") == "ce") ++s.ce;
   s.wire_bytes += get_uint(j, "wire");
   s.payload_bytes += get_uint(j, "payload");
-  const std::uint64_t t = get_uint(j, "t_ps");
-  if (t < s.t_min) s.t_min = t;
-  if (t > s.t_max) s.t_max = t;
   std::ostringstream key;
   key << get_uint(j, "src") << ':' << get_uint(j, "sport") << " -> "
       << get_uint(j, "dst") << ':' << get_uint(j, "dport");
@@ -226,8 +269,7 @@ void accumulate(const Json& j, Summary& s) {
   ++f.packets;
   f.bytes += get_uint(j, "wire");
   if (get_str(j, "ecn") == "ce") ++f.ce;
-  const std::string kind = get_str(j, "kind");
-  if (kind == "probe") {
+  if (get_str(j, "type") == "probe") {
     ++f.probes;
   } else {
     if (get_uint(j, "payload") > 0) {
@@ -244,16 +286,19 @@ void accumulate(const Json& j, Summary& s) {
 void print_summary(const Summary& s) {
   std::cout << "lines: " << s.lines << "  matched: " << s.matched << "\n";
   if (s.matched == 0) return;
-  std::cout << "span: " << static_cast<double>(s.t_min) / 1e12 << "s .. "
-            << static_cast<double>(s.t_max) / 1e12 << "s\n";
+  if (s.t_min <= s.t_max) {
+    std::cout << "span: " << static_cast<double>(s.t_min) / 1e12 << "s .. "
+              << static_cast<double>(s.t_max) / 1e12 << "s\n";
+  }
   std::cout << "by kind:";
   for (const auto& [k, n] : s.by_kind) std::cout << "  " << k << "=" << n;
-  std::cout << "\nflags:";
+  std::cout << "\n";
+  const auto packets = s.by_kind.find("packet");
+  if (packets == s.by_kind.end()) return;
+  std::cout << "flags:";
   for (const auto& [k, n] : s.by_flag) std::cout << "  " << k << "=" << n;
-  std::cout << "\nce-marked: " << s.ce << " ("
-            << 100.0 * static_cast<double>(s.ce) /
-                   static_cast<double>(s.matched)
-            << "%)\n";
+  std::cout << "\nce-marked: " << s.ce << " of " << packets->second
+            << " packets\n";
   std::cout << "bytes: wire=" << s.wire_bytes
             << " payload=" << s.payload_bytes << "\n";
 
@@ -272,19 +317,6 @@ void print_summary(const Summary& s) {
               << " probes=" << f.probes << "\n";
   }
 }
-
-// ---- export: merged Chrome trace-event JSON ---------------------------
-
-struct ExportLine {
-  std::uint64_t t = 0;
-  std::size_t order = 0;  // input order; ties on t keep it (nesting)
-  Json j;
-  bool is_packet = false;
-  // Incident slice (from --manifest): pid 3, one track per location.
-  bool is_incident = false;
-  char incident_phase = 'B';
-  std::size_t incident_tid = 0;
-};
 
 /// Reads the manifest's `incidents` section (schema hwatch.incidents/v1).
 /// Returns 0 and fills `out` (left null when the file has no incidents
@@ -322,206 +354,12 @@ int load_manifest_incidents(const std::string& path, Json& out) {
   return 0;
 }
 
-int run_export(const std::vector<Json>& lines, const Json& incidents,
-               std::ostream& os) {
-  // First pass: flow-track registry (span flows from "F" lines, packet
-  // flows from 4-tuples in order of first appearance) and the dropped
-  // count.
-  std::map<std::uint64_t, std::size_t> span_tid;    // flow span -> tid
-  std::vector<std::string> span_names;
-  std::map<std::string, std::size_t> packet_tid;    // tuple -> tid
-  std::vector<std::string> packet_names;
-  std::uint64_t dropped = 0;
-  std::vector<ExportLine> events;
-  std::uint64_t t_max = 0;
-  std::vector<const Json*> latency_lines;
-
-  for (const Json& j : lines) {
-    const std::string ph = get_str(j, "ph");
-    if (ph == "F") {
-      std::ostringstream name;
-      name << "flow " << get_uint(j, "src") << ':' << get_uint(j, "sport")
-           << "->" << get_uint(j, "dst") << ':' << get_uint(j, "dport");
-      span_tid.emplace(get_uint(j, "id"), span_tid.size() + 1);
-      span_names.push_back(name.str());
-      continue;
-    }
-    if (ph == "D") {
-      dropped += get_uint(j, "dropped_events");
-      continue;
-    }
-    if (ph == "L") {
-      latency_lines.push_back(&j);
-      continue;
-    }
-    ExportLine ev;
-    ev.t = get_uint(j, "t_ps");
-    ev.order = events.size();
-    ev.is_packet = j.find("dir") != nullptr;
-    if (ev.is_packet) {
-      std::ostringstream key;
-      key << get_uint(j, "src") << ':' << get_uint(j, "sport") << "->"
-          << get_uint(j, "dst") << ':' << get_uint(j, "dport");
-      if (packet_tid.emplace(key.str(), packet_tid.size() + 1).second) {
-        packet_names.push_back(key.str());
-      }
-    }
-    if (ev.t > t_max) t_max = ev.t;
-    ev.j = j;
-    events.push_back(std::move(ev));
-  }
-
-  // Incidents (--manifest) become duration slices on pid 3, one track
-  // per location (order of first appearance); they merge into the same
-  // time-sorted stream, so the export stays monotonic.
-  std::map<std::string, std::size_t> incident_tid;
-  std::vector<std::string> incident_names;
-  if (incidents.is_array()) {
-    for (const Json& inc : incidents.items()) {
-      const std::string loc = get_str(inc, "location");
-      if (incident_tid.emplace(loc, incident_tid.size() + 1).second) {
-        incident_names.push_back(loc);
-      }
-      const std::size_t tid = incident_tid[loc];
-      for (const char phase : {'B', 'E'}) {
-        ExportLine ev;
-        ev.t = get_uint(inc, phase == 'B' ? "start_ps" : "end_ps");
-        ev.order = events.size();
-        ev.is_incident = true;
-        ev.incident_phase = phase;
-        ev.incident_tid = tid;
-        ev.j = inc;
-        if (ev.t > t_max) t_max = ev.t;
-        events.push_back(std::move(ev));
-      }
-    }
-  }
-
-  std::stable_sort(events.begin(), events.end(),
-                   [](const ExportLine& a, const ExportLine& b) {
-                     return a.t < b.t;
-                   });
-
-  os << "{\"schema\":\"hwatch.trace_export/v1\",\"displayTimeUnit\":\"ms\","
-     << "\"dropped_events\":" << dropped << ",\"traceEvents\":[\n";
-  bool first = true;
-  const auto sep = [&] {
-    if (!first) os << ",\n";
-    first = false;
-  };
-  const auto meta = [&](int pid, std::uint64_t tid, const char* what,
-                        const std::string& name) {
-    sep();
-    os << "{\"ph\":\"M\",\"pid\":" << pid << ",\"tid\":" << tid
-       << ",\"name\":\"" << what << "\",\"args\":{\"name\":";
-    Json::write_escaped(os, name);
-    os << "}}";
-  };
-  meta(1, 0, "process_name", "spans");
-  for (std::size_t i = 0; i < span_names.size(); ++i) {
-    meta(1, i + 1, "thread_name", span_names[i]);
-  }
-  if (!packet_names.empty()) {
-    meta(2, 0, "process_name", "packets");
-    for (std::size_t i = 0; i < packet_names.size(); ++i) {
-      meta(2, i + 1, "thread_name", packet_names[i]);
-    }
-  }
-  if (!incident_names.empty()) {
-    meta(3, 0, "process_name", "incidents");
-    for (std::size_t i = 0; i < incident_names.size(); ++i) {
-      meta(3, i + 1, "thread_name", incident_names[i]);
-    }
-  }
-
-  const auto write_args = [&](const Json& j,
-                              std::initializer_list<const char*> skip) {
-    bool first_arg = true;
-    for (const auto& [key, value] : j.members()) {
-      bool skipped = false;
-      for (const char* s : skip) {
-        if (key == s) {
-          skipped = true;
-          break;
-        }
-      }
-      if (skipped) continue;
-      if (!first_arg) os << ',';
-      first_arg = false;
-      Json::write_escaped(os, key);
-      os << ':';
-      value.dump(os);
-    }
-  };
-
-  for (const ExportLine& ev : events) {
-    sep();
-    if (ev.is_incident) {
-      os << "{\"name\":\"" << get_str(ev.j, "kind")
-         << "\",\"cat\":\"incident\",\"ph\":\"" << ev.incident_phase
-         << "\",\"pid\":3,\"tid\":" << ev.incident_tid << ",\"ts\":";
-      write_ts_us(os, ev.t);
-      os << ",\"args\":{\"incident\":" << get_uint(ev.j, "id")
-         << ",\"severity\":" << get_uint(ev.j, "severity")
-         << ",\"magnitude\":" << get_uint(ev.j, "magnitude") << "}}";
-      continue;
-    }
-    const std::string ph = get_str(ev.j, "ph");
-    if (ev.is_packet) {
-      const auto it = packet_tid.find(
-          std::to_string(get_uint(ev.j, "src")) + ':' +
-          std::to_string(get_uint(ev.j, "sport")) + "->" +
-          std::to_string(get_uint(ev.j, "dst")) + ':' +
-          std::to_string(get_uint(ev.j, "dport")));
-      os << "{\"name\":\"" << get_str(ev.j, "kind") << ' '
-         << get_str(ev.j, "dir") << "\",\"cat\":\"packet\",\"ph\":\"i\","
-         << "\"s\":\"t\",\"pid\":2,\"tid\":"
-         << (it != packet_tid.end() ? it->second : 0) << ",\"ts\":";
-      write_ts_us(os, ev.t);
-      os << ",\"args\":{";
-      write_args(ev.j, {"t_ps"});
-      os << "}}";
-      continue;
-    }
-    const auto tid_it = span_tid.find(get_uint(ev.j, "flow"));
-    os << "{\"name\":\"" << get_str(ev.j, "kind")
-       << "\",\"cat\":\"span\",\"ph\":\"" << ph << "\",\"pid\":1,\"tid\":"
-       << (tid_it != span_tid.end() ? tid_it->second : 0) << ",\"ts\":";
-    write_ts_us(os, ev.t);
-    if (ph == "i") os << ",\"s\":\"t\"";
-    os << ",\"args\":{\"span\":" << get_uint(ev.j, "id")
-       << ",\"parent\":" << get_uint(ev.j, "parent");
-    os << (ev.j.members().size() > 6 ? "," : "");
-    write_args(ev.j, {"t_ps", "ph", "kind", "id", "parent", "flow"});
-    os << "}}";
-  }
-
-  // Per-flow latency summaries ride along as instants at the trace end.
-  for (const Json* j : latency_lines) {
-    sep();
-    const auto tid_it = span_tid.find(get_uint(*j, "flow"));
-    os << "{\"name\":\"latency_breakdown\",\"cat\":\"span\",\"ph\":\"i\","
-       << "\"s\":\"t\",\"pid\":1,\"tid\":"
-       << (tid_it != span_tid.end() ? tid_it->second : 0) << ",\"ts\":";
-    write_ts_us(os, t_max);
-    os << ",\"args\":{";
-    write_args(*j, {"ph"});
-    os << "}}";
-  }
-  os << "\n]}\n";
-  return 0;
-}
-
 // ---- explain: the per-flow root-cause doctor --------------------------
 
-struct FlowRef {
-  std::uint64_t span = 0;
-  std::uint64_t src = 0, dst = 0, sport = 0, dport = 0;
-};
-
-std::string tuple_of(const FlowRef& f) {
+std::string tuple_of(const SpanTracer::FlowInfo& f) {
   std::ostringstream os;
-  os << f.src << ':' << f.sport << "->" << f.dst << ':' << f.dport;
+  os << (f.key_hi >> 32) << ':' << (f.key_lo >> 16) << "->"
+     << (f.key_hi & 0xffffffffull) << ':' << (f.key_lo & 0xffffull);
   return os.str();
 }
 
@@ -566,26 +404,15 @@ const Json* best_hit(const std::vector<IncidentHit>& hits,
   return best;
 }
 
-int run_explain(const std::vector<Json>& lines, const Json& incidents,
+int run_explain(const SpanTracer& tr, const Json& incidents,
                 const std::string& selector, std::ostream& os) {
-  // Resolve the selector against the flow registry ("F" lines): either
-  // a flow-span id or the "src:sport->dst:dport" tuple.
-  std::vector<FlowRef> flows;
-  for (const Json& j : lines) {
-    if (get_str(j, "ph") != "F") continue;
-    FlowRef f;
-    f.span = get_uint(j, "id");
-    f.src = get_uint(j, "src");
-    f.dst = get_uint(j, "dst");
-    f.sport = get_uint(j, "sport");
-    f.dport = get_uint(j, "dport");
-    flows.push_back(f);
-  }
+  // Resolve the selector against the flow registry: either a flow-span
+  // id or the "src:sport->dst:dport" tuple.
   const bool numeric =
       !selector.empty() &&
       selector.find_first_not_of("0123456789") == std::string::npos;
-  const FlowRef* target = nullptr;
-  for (const FlowRef& f : flows) {
+  const SpanTracer::FlowInfo* target = nullptr;
+  for (const SpanTracer::FlowInfo& f : tr.flows()) {
     if (numeric ? std::to_string(f.span) == selector
                 : tuple_of(f) == selector) {
       target = &f;
@@ -594,46 +421,46 @@ int run_explain(const std::vector<Json>& lines, const Json& incidents,
   }
   if (target == nullptr) {
     std::cerr << "error: flow \"" << selector << "\" not found ("
-              << flows.size()
+              << tr.flows().size()
               << " flows in the span input; pass a flow-span id or "
               << "src:sport->dst:dport)\n";
     return 1;
   }
 
-  // The flow's own span pair, its child spans and its latency line.
+  // The flow's own span pair, its child spans and its packets (the
+  // flow span's payload: a = total_bytes, b = bytes_acked,
+  // c = retransmits).
   std::uint64_t t0 = 0, t1 = 0, t_last = 0;
   bool saw_begin = false, saw_end = false;
   std::uint64_t total_bytes = 0, bytes_acked = 0, retransmits = 0;
   std::map<std::string, std::uint64_t> span_counts;
   std::uint64_t rto_count = 0, rwnd_writes = 0;
-  const Json* latency = nullptr;
-  for (const Json& j : lines) {
-    const std::string ph = get_str(j, "ph");
-    if (ph == "L") {
-      if (get_uint(j, "flow") == target->span) latency = &j;
+  std::uint64_t packets = 0, ce_packets = 0;
+  for (const TraceEvent& ev : tr.events()) {
+    if (ev.flow != target->span) continue;
+    const auto t = static_cast<std::uint64_t>(ev.t);
+    if (t > t_last) t_last = t;
+    if (ev.kind == SpanKind::kPacket) {
+      ++packets;
+      if (tr.packet_of(ev).ecn == PacketRecord::kEcnCe) ++ce_packets;
       continue;
     }
-    if (ph != "B" && ph != "E" && ph != "i") continue;
-    if (get_uint(j, "flow") != target->span) continue;
-    const std::uint64_t t = get_uint(j, "t_ps");
-    if (t > t_last) t_last = t;
-    const std::string kind = get_str(j, "kind");
-    if (kind == "flow" && get_uint(j, "id") == target->span) {
-      if (ph == "B") {
+    if (ev.kind == SpanKind::kFlow && ev.span == target->span) {
+      if (ev.phase == 'B') {
         t0 = t;
         saw_begin = true;
-        total_bytes = get_uint(j, "total_bytes");
-      } else if (ph == "E") {
+        total_bytes = ev.a;
+      } else if (ev.phase == 'E') {
         t1 = t;
         saw_end = true;
-        bytes_acked = get_uint(j, "bytes_acked");
-        retransmits = get_uint(j, "retransmits");
+        bytes_acked = ev.b;
+        retransmits = ev.c;
       }
       continue;
     }
-    if (ph == "B" || ph == "i") ++span_counts[kind];
-    if (kind == "rto" && ph == "B") ++rto_count;
-    if (kind == "rwnd_write") ++rwnd_writes;
+    if (ev.phase != 'E') ++span_counts[std::string(to_string(ev.kind))];
+    if (ev.kind == SpanKind::kRto && ev.phase == 'B') ++rto_count;
+    if (ev.kind == SpanKind::kRwndWrite) ++rwnd_writes;
   }
   if (!saw_begin) {
     std::cerr << "error: flow span " << target->span
@@ -663,10 +490,10 @@ int run_explain(const std::vector<Json>& lines, const Json& incidents,
       if (!h.member) {
         if (const Json* fl = inc.find("flows")) {
           for (const Json& fj : fl->items()) {
-            if (get_uint(fj, "src") == target->src &&
-                get_uint(fj, "dst") == target->dst &&
-                get_uint(fj, "sport") == target->sport &&
-                get_uint(fj, "dport") == target->dport) {
+            if ((get_uint(fj, "src") << 32 | get_uint(fj, "dst")) ==
+                    target->key_hi &&
+                (get_uint(fj, "sport") << 16 | get_uint(fj, "dport")) ==
+                    target->key_lo) {
               h.member = true;
             }
           }
@@ -697,26 +524,26 @@ int run_explain(const std::vector<Json>& lines, const Json& incidents,
     os << ", DID NOT COMPLETE (" << total_bytes << " bytes asked)\n";
   }
 
-  static constexpr const char* kComponents[] = {
-      "queueing", "transmission", "propagation", "retx_wait"};
-  std::uint64_t comp_ps[4] = {};
+  const auto component = [](std::size_t c) {
+    return hwatch::sim::to_string(static_cast<LatencyComponent>(c));
+  };
+  std::uint64_t comp_ps[kLatencyComponents] = {};
   std::uint64_t comp_total = 0;
-  if (latency != nullptr) {
-    for (std::size_t c = 0; c < 4; ++c) {
-      comp_ps[c] = get_uint(*latency,
-                            (std::string(kComponents[c]) + "_ps").c_str());
+  if (const SpanTracer::LatencyAccum* acc = tr.latency_of(target->span)) {
+    for (std::size_t c = 0; c < kLatencyComponents; ++c) {
+      comp_ps[c] = static_cast<std::uint64_t>(acc->total_ps[c]);
       comp_total += comp_ps[c];
     }
   }
   if (comp_total > 0) {
     os << "  latency decomposition (per-packet sums):\n";
-    for (std::size_t c = 0; c < 4; ++c) {
+    for (std::size_t c = 0; c < kLatencyComponents; ++c) {
       char pct[16];
       std::snprintf(pct, sizeof(pct), "%5.1f%%",
                     100.0 * static_cast<double>(comp_ps[c]) /
                         static_cast<double>(comp_total));
-      os << "    " << kComponents[c]
-         << std::string(13 - std::strlen(kComponents[c]), ' ') << pct
+      os << "    " << component(c)
+         << std::string(13 - component(c).size(), ' ') << pct
          << "  " << fmt_ms(comp_ps[c]) << " ms\n";
     }
   }
@@ -726,6 +553,10 @@ int run_explain(const std::vector<Json>& lines, const Json& incidents,
       os << ' ' << kind << '=' << n;
     }
     os << '\n';
+  }
+  if (packets > 0) {
+    os << "  packets: " << packets << " traced, " << ce_packets
+       << " CE-marked\n";
   }
   // Members (the incident names this flow) always print; same-window
   // bystanders are capped — a long flow can overlap almost everything.
@@ -757,12 +588,12 @@ int run_explain(const std::vector<Json>& lines, const Json& incidents,
   std::vector<std::string> clauses;
   if (comp_total > 0) {
     std::size_t dom = 0;
-    for (std::size_t c = 1; c < 4; ++c) {
+    for (std::size_t c = 1; c < kLatencyComponents; ++c) {
       if (comp_ps[c] > comp_ps[dom]) dom = c;
     }
     std::ostringstream clause;
     clause << (100 * comp_ps[dom] / comp_total) << "% "
-           << kComponents[dom];
+           << component(dom);
     if (dom == 0) {
       if (const Json* qb =
               best_hit(hits, "queue-buildup", /*members_only=*/false)) {
@@ -817,8 +648,8 @@ int run_explain(const std::vector<Json>& lines, const Json& incidents,
   return 0;
 }
 
-int run(std::istream& in, const char* name, const Options& opt, Summary& s,
-        std::vector<Json>& export_lines) {
+int run(std::istream& in, const std::string& name, const Options& opt,
+        Summary& s) {
   std::string line;
   std::uint64_t lineno = 0;
   while (std::getline(in, line)) {
@@ -833,9 +664,8 @@ int run(std::istream& in, const char* name, const Options& opt, Summary& s,
       return 2;
     }
     switch (opt.mode) {
-      case Mode::kExport:
+      case Mode::kExport:  // both load their inputs as span traces
       case Mode::kExplain:
-        export_lines.push_back(std::move(j));
         break;
       case Mode::kFilter:
         if (matches(j, opt)) {
@@ -851,51 +681,101 @@ int run(std::istream& in, const char* name, const Options& opt, Summary& s,
   return 0;
 }
 
+/// Calls `fn(stream, name)` on every input file in order (stdin when
+/// none is given); stops at the first nonzero return.
+int for_each_input(
+    const Options& opt,
+    const std::function<int(std::istream&, const std::string&)>& fn) {
+  if (opt.files.empty()) return fn(std::cin, "<stdin>");
+  for (const std::string& file : opt.files) {
+    std::ifstream f(file);
+    if (!f) {
+      std::cerr << "error: cannot open " << file << "\n";
+      return 1;
+    }
+    const int rc = fn(f, file);
+    if (rc != 0) return rc;
+  }
+  return 0;
+}
+
+/// Process name of an input: its file stem, so `<label>.spans.jsonl`
+/// exports under `<label>`, the name the run gave its own trace.json.
+std::string stem_of(const std::string& path) {
+  std::string name = path.substr(path.find_last_of('/') + 1);
+  constexpr std::string_view kDump = ".spans.jsonl";
+  if (name.size() > kDump.size() && name.ends_with(kDump)) {
+    return name.substr(0, name.size() - kDump.size());
+  }
+  return name.substr(0, name.find_last_of('.'));
+}
+
+int load(SpanTracer& tr, std::istream& in, const std::string& name) {
+  std::string err;
+  if (tr.load_jsonl(in, &err)) return 0;
+  std::cerr << name << ": parse error: " << err << "\n";
+  return 2;
+}
+
+int run_export(const Options& opt, const Json& incidents) {
+  std::deque<SpanTracer> tracers;  // stable addresses for `parts`
+  std::vector<const SpanTracer*> parts;
+  std::vector<std::string> names;
+  const int rc = for_each_input(
+      opt, [&](std::istream& in, const std::string& name) {
+        parts.push_back(&tracers.emplace_back());
+        names.push_back(name == "<stdin>" ? "stdin" : stem_of(name));
+        return load(tracers.back(), in, name);
+      });
+  if (rc != 0) return rc;
+  std::ofstream file;
+  if (!opt.out_file.empty()) {
+    file.open(opt.out_file, std::ios::binary);
+    if (!file) {
+      std::cerr << "error: cannot open " << opt.out_file
+                << " for writing\n";
+      return 1;
+    }
+  }
+  std::ostream& os = opt.out_file.empty() ? std::cout : file;
+  hwatch::sim::export_chrome_merged(
+      parts, os, names, incidents.is_array() ? &incidents : nullptr);
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   Options opt;
-  if (!parse_args(argc, argv, opt)) return usage(argv[0]);
+  bool parsed = false;
+  try {
+    parsed = parse_args(argc, argv, opt);
+  } catch (const std::exception&) {  // a malformed number option
+  }
+  if (!parsed) return usage(argv[0]);
 
   Json incidents;  // stays null without --manifest (or no section)
   if (!opt.manifest_file.empty()) {
     const int rc = load_manifest_incidents(opt.manifest_file, incidents);
     if (rc != 0) return rc;
   }
+  if (opt.mode == Mode::kExport) return run_export(opt, incidents);
+  if (opt.mode == Mode::kExplain) {
+    SpanTracer tr;  // every input file, as one time-ordered part
+    const int rc = for_each_input(
+        opt, [&](std::istream& in, const std::string& name) {
+          return load(tr, in, name);
+        });
+    if (rc != 0) return rc;
+    return run_explain(tr, incidents, opt.explain_flow, std::cout);
+  }
 
   Summary s;
-  std::vector<Json> export_lines;
-  if (opt.files.empty()) {
-    const int rc = run(std::cin, "<stdin>", opt, s, export_lines);
-    if (rc != 0) return rc;
-  } else {
-    for (const std::string& file : opt.files) {
-      std::ifstream f(file);
-      if (!f) {
-        std::cerr << "error: cannot open " << file << "\n";
-        return 1;
-      }
-      const int rc = run(f, file.c_str(), opt, s, export_lines);
-      if (rc != 0) return rc;
-    }
-  }
-
-  if (opt.mode == Mode::kSummary) {
-    print_summary(s);
-  } else if (opt.mode == Mode::kExplain) {
-    return run_explain(export_lines, incidents, opt.explain_flow,
-                       std::cout);
-  } else if (opt.mode == Mode::kExport) {
-    if (opt.out_file.empty()) {
-      return run_export(export_lines, incidents, std::cout);
-    }
-    std::ofstream out(opt.out_file, std::ios::binary);
-    if (!out) {
-      std::cerr << "error: cannot open " << opt.out_file
-                << " for writing\n";
-      return 1;
-    }
-    return run_export(export_lines, incidents, out);
-  }
+  const int rc = for_each_input(
+      opt, [&](std::istream& in, const std::string& name) {
+        return run(in, name, opt, s);
+      });
+  if (rc != 0) return rc;
+  if (opt.mode == Mode::kSummary) print_summary(s);
   return 0;
 }
