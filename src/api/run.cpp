@@ -7,6 +7,7 @@
 #include <fstream>
 #include <iostream>
 #include <iterator>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -271,6 +272,10 @@ ScenarioResults run_scenario(const ScenarioSpec& spec) {
   const char* metrics_dir = std::getenv("HWATCH_METRICS_DIR");
   const char* trace_dir = std::getenv("HWATCH_TRACE_DIR");
   const char* flight_dir = std::getenv("HWATCH_FLIGHT_DIR");
+  // 0 when unset; a value that is not a positive integer throws here,
+  // before any part exists, instead of quietly disabling the watchdog.
+  const std::uint64_t epoch_budget_ms = positive_env(
+      "HWATCH_EPOCH_BUDGET_MS", std::numeric_limits<unsigned>::max());
   const bool detect = spec.detect_incidents || env_flag("HWATCH_INCIDENTS");
   const bool collect = spec.collect_metrics || metrics_dir != nullptr || detect;
   const bool trace = spec.trace_spans || trace_dir != nullptr;
@@ -383,8 +388,6 @@ ScenarioResults run_scenario(const ScenarioSpec& spec) {
   const bool wall_spans = trace || profile;
   std::optional<sim::ShardTelemetry> tel;
   if (n > 1) {
-    const std::uint64_t epoch_budget_ms =
-        sim::ShardTelemetry::epoch_budget_ms_from_env();
     if (spec.shard_telemetry || collect || wall_spans || progress ||
         epoch_budget_ms > 0 || flight_dir != nullptr ||
         flight_forced) {

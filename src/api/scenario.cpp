@@ -40,6 +40,13 @@ void check_aqm(const AqmConfig& aqm) {
   if (aqm.byte_mode && aqm.mtu_bytes == 0) {
     reject("mtu_bytes = 0 with byte_mode makes a 0-byte buffer; need >= 1");
   }
+  if ((aqm.kind == AqmKind::kDctcpStep || aqm.kind == AqmKind::kRed) &&
+      aqm.mark_threshold_packets >= aqm.buffer_packets) {
+    reject("mark_threshold_packets = " +
+           std::to_string(aqm.mark_threshold_packets) +
+           " >= buffer_packets = " + std::to_string(aqm.buffer_packets) +
+           " never marks; need a threshold below the buffer");
+  }
   if (aqm.kind == AqmKind::kRed) {
     // Negated so NaN fails too.
     if (!(aqm.red_max_p > 0.0 && aqm.red_max_p <= 1.0)) {

@@ -54,8 +54,9 @@ struct AqmConfig {
 
   /// Throws std::invalid_argument naming the field when the queues
   /// would admit nothing (buffer_packets = 0, or mtu_bytes = 0 in
-  /// byte mode) or, for kRed, when red_max_p or red_weight is outside
-  /// (0, 1].
+  /// byte mode), when a kDctcpStep or kRed queue would never mark
+  /// (mark_threshold_packets >= buffer_packets) or, for kRed, when
+  /// red_max_p or red_weight is outside (0, 1].
   net::QdiscFactory make_factory(sim::DataRate link_rate) const;
 };
 

@@ -9,10 +9,9 @@
 
 namespace hwatch::net {
 
-// The ISSUE-level sizing contracts live here, where sim-layer constants
-// and net::Packet are both visible without layering sim on net.
-static_assert(sim::kSchedulerCallbackInline >= sizeof(Packet) + sizeof(void*),
-              "scheduler callback SBO must fit a Packet + a this pointer");
+// The packet-block sizing contract lives here, where sim-layer
+// constants and net::Packet are both visible without layering sim on
+// net.
 static_assert(sim::SimContext::kPacketBlockBytes >= sizeof(Packet),
               "packet pool blocks must fit a Packet");
 
@@ -64,13 +63,9 @@ void Link::start_transmission() {
                       sim::LatencyComponent::kTransmission, tx);
   }
   // The packet joins the in-flight train; the event itself is just a
-  // `this` capture, so it rides the scheduler's small-callback pool.
+  // `this` capture.
   flight_.push_back(std::move(*next));
-  auto complete = [this] { on_transmission_complete(); };
-  static_assert(
-      sim::Scheduler::SmallCallback::fits_inline<decltype(complete)>(),
-      "tx-complete event must ride the small pool");
-  ctx_.scheduler().schedule_in(tx, std::move(complete));
+  ctx_.scheduler().schedule_in(tx, [this] { on_transmission_complete(); });
 }
 
 void Link::on_transmission_complete() {
@@ -99,10 +94,7 @@ void Link::on_transmission_complete() {
     return;
   }
   ++tx_done_;
-  auto deliver = [this] { deliver_front(); };
-  static_assert(sim::Scheduler::SmallCallback::fits_inline<decltype(deliver)>(),
-                "propagation event must ride the small pool");
-  ctx_.scheduler().schedule_in(prop_delay_, std::move(deliver));
+  ctx_.scheduler().schedule_in(prop_delay_, [this] { deliver_front(); });
   start_transmission();
 }
 

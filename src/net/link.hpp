@@ -7,11 +7,11 @@
 //
 // In-flight packets form a train: once dequeued from the qdisc they
 // live in `flight_` (a FIFO ring) until delivery, so the per-packet
-// tx-complete and propagation events are tiny `[this]` captures in the
-// scheduler's small-callback pool instead of 176-byte packet-carrying
-// closures.  Event times, counts and ordering are identical to the
-// packet-in-callback formulation — the train only changes where the
-// bytes wait — so traces and manifests do not move by a byte.
+// tx-complete and propagation events are tiny `[this]` captures rather
+// than packet-carrying closures.  Event times, counts and ordering are
+// identical to the packet-in-callback formulation — the train only
+// changes where the bytes wait — so traces and manifests do not move by
+// a byte.
 #pragma once
 
 #include <cstdint>
@@ -47,7 +47,6 @@ class HWATCH_SHARD_CONFINED Link {
   const QueueDiscipline& qdisc() const { return *qdisc_; }
 
   sim::DataRate rate() const { return rate_; }
-  sim::TimePs propagation_delay() const { return prop_delay_; }
   const std::string& name() const { return name_; }
   Node* destination() const { return dst_; }
 
@@ -64,7 +63,6 @@ class HWATCH_SHARD_CONFINED Link {
   /// instead of being scheduled as a local propagation event.  The
   /// intra-shard fast path is untouched when unset (the default).
   void set_remote_inbox(ShardInbox* inbox) { remote_inbox_ = inbox; }
-  bool is_cross_shard() const { return remote_inbox_ != nullptr; }
 
  private:
   void start_transmission();

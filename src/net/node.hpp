@@ -111,7 +111,6 @@ class Host final : public Node {
   /// Installs a filter at the back of the chain (non-owning; the caller
   /// keeps the filter alive, typically the scenario object).
   void install_filter(PacketFilter* f) { filters_.push_back(f); }
-  void remove_filters() { filters_.clear(); }
 
   /// Transport-agent send path: OUT filter chain, then the NIC.
   void send(Packet&& p);

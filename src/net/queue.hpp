@@ -208,7 +208,6 @@ class DctcpThresholdQueue final : public QueueDiscipline {
         k_bytes_(mark_k_bytes) {}
   std::string name() const override { return "dctcp-k"; }
   std::uint64_t threshold() const { return k_pkts_; }
-  std::uint64_t threshold_bytes() const { return k_bytes_; }
 
  protected:
   EnqueueOutcome classify(const Packet& p, sim::TimePs now) override;

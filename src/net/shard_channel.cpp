@@ -72,16 +72,19 @@ void drain_cross_shard_channels(
               }
               return a.second.pkt.uid < b.second.pkt.uid;
             });
-  sim::Scheduler& sched = channels.front()->dst_ctx().scheduler();
+  // Each packet is written once into a block of the destination
+  // context's pool, so the delivery event carries a handle, not the
+  // packet: the block is allocated here and freed by the delivery, both
+  // on this part's worker.
+  sim::SimContext& ctx = channels.front()->dst_ctx();
+  sim::Scheduler& sched = ctx.scheduler();
   for (auto& [node, item] : scratch) {
     assert(item.deliver_time >= sched.now());
-    auto deliver = [node, p = std::move(item.pkt)]() mutable {
-      node->handle_packet(std::move(p));
-    };
-    static_assert(
-        sim::Scheduler::Callback::fits_inline<decltype(deliver)>(),
-        "cross-shard delivery event must be allocation-free");
-    sched.schedule_at(item.deliver_time, std::move(deliver));
+    sched.schedule_at(item.deliver_time,
+                      [node, p = ctx.packet_pool().make<Packet>(
+                                 std::move(item.pkt))] {
+                        node->handle_packet(std::move(*p));
+                      });
   }
   scratch.clear();
 }

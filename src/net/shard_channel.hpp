@@ -9,7 +9,11 @@
 // phase: it empties every inbox, sorts the haul by (deliver_time,
 // packet uid) — a deterministic total order independent of which link
 // or thread produced each packet — and schedules the deliveries into
-// the local scheduler.
+// the local scheduler.  Each drained packet is moved into a block of the
+// destination context's packet_pool(), and its delivery event carries
+// only that PoolPtr and the destination node, so it fits the
+// scheduler's 32-byte callback slot.  The block is allocated at drain
+// and freed at delivery, both on the destination part's worker.
 //
 // ShardInbox is a plain grow-only vector.  Producers push only during
 // run phases and the consumer pops only during drain phases; the
@@ -112,8 +116,9 @@ class HWATCH_SHARD_SHARED CrossShardChannel {
 };
 
 /// Drain phase for one shard: empties every channel, sorts the haul by
-/// (deliver_time, packet uid) and schedules the deliveries into the
-/// destination context's scheduler.  `scratch` is caller-owned reusable
+/// (deliver_time, packet uid) and schedules the deliveries, each packet
+/// in a block of the destination context's packet pool, into that
+/// context's scheduler.  `scratch` is caller-owned reusable
 /// storage so the steady state allocates nothing.  All channels must
 /// target the same shard (context).
 void drain_cross_shard_channels(

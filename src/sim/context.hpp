@@ -52,7 +52,6 @@ class HWATCH_SHARD_CONFINED SimContext {
 
   /// Fresh unique packet uid (trace identity), scoped to this context.
   std::uint64_t next_packet_uid() { return ++packet_uid_; }
-  std::uint64_t packet_uids_issued() const { return packet_uid_; }
 
   /// Stripes the uid space for sharded runs: shard s sets base s<<48, so
   /// uids stay unique across every shard of one scenario — which is what

@@ -170,7 +170,6 @@ class MetricsRegistry {
   const std::vector<Gauge>& gauges() const { return gauges_; }
 
   std::size_t counter_count() const { return counters_.size(); }
-  std::size_t histogram_count() const { return histograms_.size(); }
 
   MetricsSnapshot snapshot() const;
 

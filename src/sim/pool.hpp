@@ -1,20 +1,15 @@
-// Free-list memory pools for the simulator's rare-but-recurring
-// allocations.
+// Free-list memory pool for the simulator's packet blocks.
 //
-// Two pieces:
-//   * BlockPool — fixed-block free list.  SimContext owns one sized for
-//     a net::Packet so paths that must park a packet behind a pointer
-//     (e.g. the shim holding a SYN across a probe train) recycle blocks
-//     instead of hitting the global allocator.  PoolPtr is the move-only
-//     RAII handle.
-//   * SpillArena — thread-local size-class free lists backing
-//     UniqueFunction's spill path for callables too large for the
-//     inline buffer.  Thread-local because UniqueFunctions are created
-//     and destroyed on the simulating thread; sweeps run one context
-//     per thread, so there is no cross-thread recycling to coordinate.
+// BlockPool is a fixed-block free list.  SimContext owns one sized for
+// a net::Packet: every queued packet, every cross-shard delivery and
+// every SYN the shim holds across a probe train lives in one of its
+// blocks, so those paths recycle blocks instead of hitting the global
+// allocator.  PoolPtr is the move-only RAII handle; it is small enough
+// to ride a scheduler callback.  A pool is confined to its context's
+// thread: blocks are allocated and freed on the same worker.
 //
-// Neither pool affects determinism: memory reuse changes addresses, not
-// event ordering, and nothing in the simulator keys off addresses.
+// The pool does not affect determinism: memory reuse changes addresses,
+// not event ordering, and nothing in the simulator keys off addresses.
 //
 // Pool occupancy is tracked in plain counters (hits/misses/outstanding)
 // always; MetricsRegistry exposure is opt-in via attach_counters so the
@@ -177,48 +172,5 @@ void PoolPtr<T>::reset() noexcept {
     pool_ = nullptr;
   }
 }
-
-/// Thread-local size-class arena for UniqueFunction spills.  Requests
-/// are rounded up to the next power-of-two class (64..2048 bytes);
-/// larger or over-aligned requests bypass the arena entirely.
-class SpillArena {
- public:
-  struct Stats {
-    std::uint64_t hits = 0;    // served from a class free list
-    std::uint64_t misses = 0;  // fell through to operator new
-    std::uint64_t bypass = 0;  // too large / over-aligned for the arena
-  };
-
-  SpillArena() = default;
-  SpillArena(const SpillArena&) = delete;
-  SpillArena& operator=(const SpillArena&) = delete;
-  ~SpillArena();
-
-  /// The calling thread's arena (what spill_alloc/spill_free use).
-  static SpillArena& local();
-
-  void* allocate(std::size_t bytes);
-  void deallocate(void* p, std::size_t bytes) noexcept;
-
-  const Stats& stats() const { return stats_; }
-
-  static constexpr std::size_t kMinClassBytes = 64;
-  static constexpr std::size_t kMaxClassBytes = 2048;
-
- private:
-  struct FreeNode {
-    FreeNode* next;
-  };
-  static constexpr std::size_t kClassCount = 6;  // 64,128,256,512,1024,2048
-
-  /// Size-class index for `bytes`, or kClassCount when out of range.
-  static std::size_t class_index(std::size_t bytes);
-  static std::size_t class_bytes(std::size_t index) {
-    return kMinClassBytes << index;
-  }
-
-  FreeNode* free_[kClassCount] = {};
-  Stats stats_;
-};
 
 }  // namespace hwatch::sim

@@ -34,60 +34,42 @@ EventId Scheduler::push_entry(TimePs t, std::uint32_t slot,
   return EventId{pack(slot, gen)};
 }
 
-EventId Scheduler::schedule_small(TimePs t, SmallCallback cb) {
+EventId Scheduler::schedule(TimePs t, Callback cb) {
   if (t < now_) {
     throw std::invalid_argument("Scheduler: event scheduled in the past");
   }
-  const std::uint32_t idx = small_.acquire(std::move(cb));
-  const std::uint32_t slot = idx | kSmallSlotBit;
-  return push_entry(t, slot, small_.gens[idx]);
-}
-
-EventId Scheduler::schedule_large(TimePs t, Callback cb) {
-  if (t < now_) {
-    throw std::invalid_argument("Scheduler: event scheduled in the past");
+  std::uint32_t slot;
+  if (!free_slots_.empty()) {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    cbs_[slot] = std::move(cb);
+  } else {
+    slot = static_cast<std::uint32_t>(gens_.size());
+    gens_.push_back(0);
+    cbs_.push_back(std::move(cb));
   }
-  const std::uint32_t slot = large_.acquire(std::move(cb));
-  return push_entry(t, slot, large_.gens[slot]);
+  return push_entry(t, slot, gens_[slot]);
 }
 
 void Scheduler::retire(const Entry& e) {
-  const std::uint32_t idx = e.slot & ~kSmallSlotBit;
-  if (e.slot & kSmallSlotBit) {
-    ++small_.gens[idx];
-    small_.free_slots.push_back(idx);
-  } else {
-    ++large_.gens[idx];
-    large_.free_slots.push_back(idx);
-  }
+  ++gens_[e.slot];
+  free_slots_.push_back(e.slot);
 }
 
 bool Scheduler::cancel(EventId id) {
   if (!id.valid()) return false;
   const std::uint32_t slot = static_cast<std::uint32_t>((id.value >> 32) - 1);
   const std::uint32_t gen = static_cast<std::uint32_t>(id.value);
-  const std::uint32_t idx = slot & ~kSmallSlotBit;
-  const bool small = (slot & kSmallSlotBit) != 0;
   // Only ids whose generation is still current may be cancelled; fired,
   // cancelled or invalid ids are rejected so live_count_ stays accurate.
-  if (small) {
-    if (idx >= small_.gens.size() || small_.gens[idx] != gen) return false;
-  } else {
-    if (idx >= large_.gens.size() || large_.gens[idx] != gen) return false;
-  }
+  if (slot >= gens_.size() || gens_[slot] != gen) return false;
   // The parked entry (wheel bucket or heap) cannot be removed directly;
   // bumping the generation marks it stale, and it is skipped (or
   // compacted) later.  The callback is destroyed now so captured
   // resources don't linger.
-  if (small) {
-    ++small_.gens[idx];
-    small_.cbs[idx].reset();
-    small_.free_slots.push_back(idx);
-  } else {
-    ++large_.gens[idx];
-    large_.cbs[idx].reset();
-    large_.free_slots.push_back(idx);
-  }
+  ++gens_[slot];
+  cbs_[slot].reset();
+  free_slots_.push_back(slot);
   --live_count_;
   ++cancelled_;
   ++stale_;
@@ -285,18 +267,11 @@ void Scheduler::execute_next() {
   now_ = e.time;
   --live_count_;
   ++executed_;
-  const std::uint32_t idx = e.slot & ~kSmallSlotBit;
   // Move the callback out before recycling the slot: a callback
   // scheduled from inside cb() may reuse the slot immediately.
-  if (e.slot & kSmallSlotBit) {
-    SmallCallback cb = std::move(small_.cbs[idx]);
-    retire(e);
-    cb();
-  } else {
-    Callback cb = std::move(large_.cbs[idx]);
-    retire(e);
-    cb();
-  }
+  Callback cb = std::move(cbs_[e.slot]);
+  retire(e);
+  cb();
 }
 
 bool Scheduler::step() {

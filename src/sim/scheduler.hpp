@@ -44,21 +44,21 @@
 // Memory model: callbacks are move-only UniqueFunctions that live in
 // slot-indexed side arrays, NOT in the wheel/heap entries — entries
 // stay 24 bytes, so bucket sorts and sift-up/down move small PODs while
-// the fat callback is written exactly once per event.  Callback slots
-// come in two size classes: a small pool for the common tiny capture (a
-// `this` pointer, a couple of words — timers, flow starts, sampler
-// ticks, link train boundaries) and a large pool whose inline buffer
-// carries a net::Packet by value.  schedule_at picks the pool from the
-// callable's size at compile time.  In steady state (slots, buckets and
-// heap at their high-water marks) schedule/cancel/execute touch the
-// allocator zero times; the allocation-regression test enforces this.
+// the callback is written exactly once per event.  Every callback slot
+// has the same 32-byte inline buffer: a `this` pointer plus a few words
+// (timers, flow starts, sampler ticks, link train boundaries) or a
+// pooled packet handle (cross-shard deliveries, held SYNs).  A packet
+// never rides a callback by value; schedule_at static_asserts that each
+// capture fits inline, so no event can reach the allocator.  In steady
+// state (slots, buckets and heap at their high-water marks)
+// schedule/cancel/execute touch the allocator zero times; the
+// allocation-regression test enforces this.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <type_traits>
 #include <vector>
 
 #include "sim/annotations.hpp"
@@ -67,15 +67,9 @@
 
 namespace hwatch::sim {
 
-/// Inline capacity of a large scheduler callback: sized so a lambda
-/// capturing a net::Packet by value plus a `this` pointer is stored
-/// inline (the link hot path static_asserts exactly that).
-inline constexpr std::size_t kSchedulerCallbackInline = 176;
-
-/// Inline capacity of a small scheduler callback: a `this` pointer plus
-/// a few captured words.  Timer expiries, flow starts and sampler ticks
-/// all fit; anything bigger routes to the large pool automatically.
-inline constexpr std::size_t kSchedulerSmallCallbackInline = 32;
+/// Inline capacity of a scheduler callback: a `this` pointer plus a
+/// few captured words, or a PoolPtr and a node pointer.
+inline constexpr std::size_t kSchedulerCallbackInline = 32;
 
 /// Calendar-wheel geometry.  Bucket width 2^16 ps (~65.5 ns) x 2048
 /// buckets spans ~134 us — generously past the serialization +
@@ -109,65 +103,38 @@ struct EventId {
 class HWATCH_SHARD_CONFINED Scheduler {
  public:
   using Callback = UniqueFunction<void(), kSchedulerCallbackInline>;
-  using SmallCallback =
-      UniqueFunction<void(), kSchedulerSmallCallbackInline>;
 
   Scheduler() = default;
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
 
   /// Pending callbacks (cancelled or never run) are destroyed with the
-  /// scheduler — packets they carry are released, not leaked.
+  /// scheduler — packets they hold are released, not leaked.
   ~Scheduler() = default;
 
   /// Current simulated time.  Monotonically non-decreasing during run().
   TimePs now() const { return now_; }
 
-  /// Schedules `cb` at absolute time `t` (>= now).  Returns a handle that
-  /// can be passed to cancel().  An explicit Callback goes to the large
-  /// pool; the templated overload below picks the pool from the
-  /// callable's size at compile time.
-  EventId schedule_at(TimePs t, Callback cb) {
-    return schedule_large(t, std::move(cb));
-  }
-
-  /// Pool-selecting overload: callables that fit the small inline buffer
-  /// use small slots, everything else (e.g. a lambda carrying a Packet)
-  /// uses the packet-sized pool.  Semantics are identical either way.
-  template <typename F,
-            typename = std::enable_if_t<
-                !std::is_same_v<std::decay_t<F>, Callback> &&
-                !std::is_same_v<std::decay_t<F>, SmallCallback> &&
-                std::is_invocable_r_v<void, std::decay_t<F>&>>>
+  /// Schedules `f` at absolute time `t` (>= now).  Returns a handle that
+  /// can be passed to cancel().  The callable must fit the callback's
+  /// inline buffer: an event never allocates.
+  template <typename F>
   EventId schedule_at(TimePs t, F&& f) {
-    if constexpr (SmallCallback::fits_inline<F>()) {
-      return schedule_small(t, SmallCallback(std::forward<F>(f)));
-    } else {
-      return schedule_large(t, Callback(std::forward<F>(f)));
-    }
+    static_assert(Callback::fits_inline<F>(),
+                  "scheduler event capture must fit kSchedulerCallbackInline");
+    return schedule(t, Callback(std::forward<F>(f)));
   }
 
-  EventId schedule_at(TimePs t, SmallCallback cb) {
-    return schedule_small(t, std::move(cb));
-  }
-
-  /// Schedules `cb` `delay` picoseconds from now.
-  EventId schedule_in(TimePs delay, Callback cb) {
-    return schedule_large(now_ + delay, std::move(cb));
-  }
-
-  template <typename F,
-            typename = std::enable_if_t<
-                !std::is_same_v<std::decay_t<F>, Callback> &&
-                !std::is_same_v<std::decay_t<F>, SmallCallback> &&
-                std::is_invocable_r_v<void, std::decay_t<F>&>>>
+  /// Schedules `f` `delay` picoseconds from now.
+  template <typename F>
   EventId schedule_in(TimePs delay, F&& f) {
     return schedule_at(now_ + delay, std::forward<F>(f));
   }
 
   /// Cancels a pending event.  Returns false when the event already fired,
   /// was cancelled before, or the id is invalid.  The callback (and
-  /// anything it captured, e.g. a Packet) is destroyed immediately.
+  /// anything it captured, e.g. a pooled Packet) is destroyed
+  /// immediately.
   bool cancel(EventId id);
 
   /// Runs events until the queue is empty or stop() is called.
@@ -219,22 +186,9 @@ class HWATCH_SHARD_CONFINED Scheduler {
   std::size_t heap_peak() const { return entries_peak_; }
 
   // --- bookkeeping introspection (memory regression tests) -----------
-  /// Generation slots ever allocated across both pools; bounded by the
-  /// peak number of simultaneously live events, NOT by the events
-  /// scheduled over time.
-  std::size_t bookkeeping_slots() const {
-    return small_.gens.size() + large_.gens.size();
-  }
-  /// Per-pool slot counts: the small-pool share is what keeps huge
-  /// pending sets of timer-style events cache-warm.
-  std::size_t small_slots() const { return small_.gens.size(); }
-  std::size_t large_slots() const { return large_.gens.size(); }
-  /// Resident callback-slot bytes across both pools (inline buffers
-  /// only; spilled captures are owned by the arena).
-  std::size_t callback_slot_bytes() const {
-    return small_.gens.size() * sizeof(SmallCallback) +
-           large_.gens.size() * sizeof(Callback);
-  }
+  /// Callback slots ever allocated; bounded by the peak number of
+  /// simultaneously live events, NOT by the events scheduled over time.
+  std::size_t bookkeeping_slots() const { return gens_.size(); }
   /// Entries currently parked in the overflow heap, including
   /// not-yet-compacted stale (cancelled) ones.
   std::size_t heap_entries() const { return heap_.size(); }
@@ -250,7 +204,7 @@ class HWATCH_SHARD_CONFINED Scheduler {
   struct Entry {
     TimePs time;
     std::uint64_t seq;  // tie-breaker: FIFO at equal time
-    std::uint32_t slot;  // high bit: small pool; low 31 bits: index
+    std::uint32_t slot;  // index into gens_/cbs_
     std::uint32_t gen;
   };
   struct Later {
@@ -260,28 +214,7 @@ class HWATCH_SHARD_CONFINED Scheduler {
     }
   };
 
-  static constexpr std::uint32_t kSmallSlotBit = 0x8000'0000u;
   static constexpr std::uint64_t kNoBucket = ~std::uint64_t{0};
-
-  template <typename CB>
-  struct SlotPool {
-    std::vector<std::uint32_t> gens;
-    std::vector<CB> cbs;  // slot-indexed, parallel to gens
-    std::vector<std::uint32_t> free_slots;
-
-    std::uint32_t acquire(CB cb) {
-      if (!free_slots.empty()) {
-        const std::uint32_t slot = free_slots.back();
-        free_slots.pop_back();
-        cbs[slot] = std::move(cb);
-        return slot;
-      }
-      const auto slot = static_cast<std::uint32_t>(gens.size());
-      gens.push_back(0);
-      cbs.push_back(std::move(cb));
-      return slot;
-    }
-  };
 
   static constexpr std::uint64_t pack(std::uint32_t slot, std::uint32_t gen) {
     return ((static_cast<std::uint64_t>(slot) + 1) << 32) | gen;
@@ -294,19 +227,10 @@ class HWATCH_SHARD_CONFINED Scheduler {
     return static_cast<std::size_t>(bucket & (kWheelBuckets - 1));
   }
 
-  EventId schedule_small(TimePs t, SmallCallback cb);
-  EventId schedule_large(TimePs t, Callback cb);
+  EventId schedule(TimePs t, Callback cb);
   EventId push_entry(TimePs t, std::uint32_t slot, std::uint32_t gen);
 
-  std::uint32_t& gen_of(std::uint32_t slot) {
-    return (slot & kSmallSlotBit) ? small_.gens[slot & ~kSmallSlotBit]
-                                  : large_.gens[slot];
-  }
-  bool is_live(const Entry& e) const {
-    const std::uint32_t idx = e.slot & ~kSmallSlotBit;
-    return ((e.slot & kSmallSlotBit) ? small_.gens[idx]
-                                     : large_.gens[idx]) == e.gen;
-  }
+  bool is_live(const Entry& e) const { return gens_[e.slot] == e.gen; }
   void retire(const Entry& e);  // bump generation, recycle the slot
 
   static bool earlier(const Entry& a, const Entry& b) {
@@ -338,9 +262,6 @@ class HWATCH_SHARD_CONFINED Scheduler {
   void clear_occupied(std::size_t i) {
     occupied_[i >> 6] &= ~(std::uint64_t{1} << (i & 63));
   }
-  bool is_occupied(std::size_t i) const {
-    return (occupied_[i >> 6] >> (i & 63)) & 1;
-  }
 
   // Finds the next live entry across both structures; remembers where
   // it lives (next_from_wheel_) for step().  Stale entries are dropped
@@ -361,8 +282,11 @@ class HWATCH_SHARD_CONFINED Scheduler {
   std::size_t active_pos_ = 0;      // consumed prefix of the active bucket
   std::size_t wheel_count_ = 0;     // parked wheel entries (live + stale)
   bool next_from_wheel_ = false;    // where peek_next found the minimum
-  SlotPool<SmallCallback> small_;
-  SlotPool<Callback> large_;
+  // Callback slots: gens_ and cbs_ are parallel, slot-indexed arrays;
+  // retired slots are recycled through free_slots_.
+  std::vector<std::uint32_t> gens_;
+  std::vector<Callback> cbs_;
+  std::vector<std::uint32_t> free_slots_;
   std::size_t stale_ = 0;  // cancelled entries parked in wheel or heap
   TimePs now_ = 0;
   std::uint64_t next_seq_ = 0;

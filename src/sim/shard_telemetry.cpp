@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -431,7 +430,9 @@ void ShardTelemetry::export_chrome_workers(
   };
   emit_sep();
   os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,"
-     << "\"args\":{\"name\":\"" << process_name << "/workers\"}}";
+     << "\"args\":{\"name\":";
+  Json::write_escaped(os, std::string(process_name) + "/workers");
+  os << "}}";
   for (std::size_t w = 0; w < workers_.size(); ++w) {
     emit_sep();
     os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":"
@@ -535,15 +536,6 @@ void ShardTelemetry::report(std::ostream& os) const {
       os << buf;
     }
   }
-}
-
-std::uint64_t ShardTelemetry::epoch_budget_ms_from_env() {
-  const char* raw = std::getenv("HWATCH_EPOCH_BUDGET_MS");
-  if (raw == nullptr || *raw == '\0') return 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(raw, &end, 10);
-  if (end == raw || *end != '\0') return 0;
-  return static_cast<std::uint64_t>(v);
 }
 
 }  // namespace hwatch::sim

@@ -168,9 +168,6 @@ class HWATCH_SHARD_SHARED ShardTelemetry {
 
   std::uint64_t worker_spans_dropped() const;
 
-  /// Parses HWATCH_EPOCH_BUDGET_MS (0 when unset or unparseable).
-  static std::uint64_t epoch_budget_ms_from_env();
-
  private:
   /// One (epoch, shard) cell of the flight ring — per-epoch deltas,
   /// written only by the shard's owner worker.

@@ -1,22 +1,21 @@
 // UniqueFunction — a move-only, small-buffer-optimized std::function
 // replacement for the simulator's hot paths.
 //
-// std::function requires copyable callables, which forces every event
-// that carries a Packet to park it behind a shared_ptr (two heap
-// allocations per link hop).  UniqueFunction accepts move-only captures,
-// so a Packet rides *inside* the callback object; with an inline buffer
-// at least sizeof(Packet) + a `this` pointer wide the steady-state hop
-// touches the allocator zero times.
+// std::function requires copyable callables, so a callback that owns a
+// resource (a pooled packet handle, a completion closure) would have to
+// park it behind a shared_ptr.  UniqueFunction accepts move-only
+// captures, and a capture that fits the inline buffer never touches the
+// allocator.
 //
 // Storage contract:
 //   * A callable F is stored inline iff sizeof(F) <= InlineBytes,
 //     alignof(F) <= alignof(std::max_align_t), and F is nothrow move
 //     constructible.  `fits_inline<F>()` exposes the decision at compile
-//     time so hot-path call sites can static_assert it.
-//   * Oversized callables spill through sim::uf_detail::spill_alloc /
-//     spill_free, backed by a thread-local size-class arena (pool.hpp),
-//     so even the spill path recycles memory instead of hitting the
-//     global allocator in steady state.
+//     time so hot-path call sites (the scheduler among them) can
+//     static_assert it.
+//   * Oversized callables spill to aligned ::operator new / delete.
+//     Only cold paths (setup-time closures) spill; every scheduler event
+//     is inline by construction.
 //   * Inline callables relocate through their move constructor (an
 //     exact-size copy once the instantiation inlines); trivially
 //     destructible ones skip the destructor call entirely, so the
@@ -45,12 +44,6 @@ inline constexpr std::size_t kUniqueFunctionInlineBytes = 48;
 
 namespace uf_detail {
 
-/// Spill-path allocator hooks, defined in pool.cpp next to SpillArena.
-/// Thread-local size-class free lists: after warm-up, oversized
-/// callbacks recycle memory instead of calling operator new.
-void* spill_alloc(std::size_t bytes, std::size_t align);
-void spill_free(void* p, std::size_t bytes, std::size_t align);
-
 template <bool Const, std::size_t InlineBytes, typename R, typename... Args>
 class UfImpl {
   static_assert(InlineBytes >= sizeof(void*),
@@ -60,7 +53,7 @@ class UfImpl {
   static constexpr std::size_t inline_bytes = InlineBytes;
 
   /// True when a (decayed) callable of type D is stored in the inline
-  /// buffer rather than spilled to the arena.
+  /// buffer rather than spilled to the heap.
   template <typename D>
   static constexpr bool stores_inline =
       sizeof(D) <= InlineBytes &&
@@ -159,11 +152,11 @@ class UfImpl {
       invoke_ = &invoke_inline<D>;
       vt_ = &kInlineVt<D>;
     } else {
-      void* mem = spill_alloc(sizeof(D), alignof(D));
+      void* mem = ::operator new(sizeof(D), std::align_val_t{alignof(D)});
       try {
         ::new (mem) D(std::forward<F>(f));
       } catch (...) {
-        spill_free(mem, sizeof(D), alignof(D));
+        ::operator delete(mem, sizeof(D), std::align_val_t{alignof(D)});
         throw;
       }
       std::memcpy(buf_, &mem, sizeof(mem));
@@ -225,7 +218,7 @@ class UfImpl {
     void* mem;
     std::memcpy(&mem, buf, sizeof(mem));
     static_cast<D*>(mem)->~D();
-    spill_free(mem, sizeof(D), alignof(D));
+    ::operator delete(mem, sizeof(D), std::align_val_t{alignof(D)});
   }
 
   template <typename D>

@@ -30,8 +30,6 @@ class CubicSender : public TcpSender {
 
   std::string transport_name() const override { return "cubic"; }
 
-  double w_max_segments() const { return w_max_; }
-
  protected:
   void grow_window(std::uint64_t newly_acked) override;
   std::uint64_t ssthresh_after_loss() override;

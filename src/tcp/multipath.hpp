@@ -49,7 +49,6 @@ class MultipathConnection {
     on_complete_ = std::move(cb);
   }
 
-  std::size_t subflow_count() const { return subflows_.size(); }
   TcpConnection& subflow(std::size_t i) { return *subflows_[i]; }
   const TcpConnection& subflow(std::size_t i) const { return *subflows_[i]; }
 

@@ -324,6 +324,22 @@ TEST(AqmConfigTest, RejectsBuffersThatAdmitNothing) {
   zero_mtu.byte_mode = false;  // the MTU only sizes byte-mode buffers
   EXPECT_EQ(rejection(zero_mtu), "");
 
+  for (AqmKind kind : {AqmKind::kDctcpStep, AqmKind::kRed}) {
+    AqmConfig never_marks;
+    never_marks.kind = kind;
+    never_marks.buffer_packets = 50;
+    never_marks.mark_threshold_packets = 50;
+    const std::string why = rejection(never_marks);
+    EXPECT_NE(why.find("mark_threshold_packets = 50"), std::string::npos)
+        << why;
+    EXPECT_NE(why.find("buffer_packets = 50"), std::string::npos) << why;
+    never_marks.mark_threshold_packets = 49;
+    EXPECT_EQ(rejection(never_marks), "");
+  }
+  AqmConfig drop_tail;  // no marking, so the threshold is unused
+  drop_tail.mark_threshold_packets = drop_tail.buffer_packets;
+  EXPECT_EQ(rejection(drop_tail), "");
+
   for (double bad : {0.0, -0.1, 1.5}) {
     AqmConfig red;
     red.kind = AqmKind::kRed;

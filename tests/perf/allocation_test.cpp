@@ -202,9 +202,11 @@ TEST(AllocationRegression, ShardedSteadyStateEpochsAreAllocationFree) {
 }
 
 /// Pool conservation on the same k=4 DCTCP permutation, stopped
-/// mid-run: every block a part's packet pool has handed out is a packet
-/// waiting in one of that part's queues (HWatch is off, so no shim parks
-/// a SYN), and tearing the links down returns every block.
+/// mid-run: a part's outstanding pool blocks are its queued packets plus
+/// its pending cross-shard deliveries (HWatch is off, so no shim parks a
+/// SYN).  The second term is 0 at a window boundary on this
+/// uniform-latency fabric: every delivery drained at a window's start
+/// lands by its end.  Tearing the links down returns every block.
 TEST(PoolConservation, EveryOutstandingBlockIsAQueuedPacket) {
   topo::ShardedFatTreeConfig tcfg;
   tcfg.k = 4;

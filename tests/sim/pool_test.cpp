@@ -1,4 +1,4 @@
-// BlockPool / PoolPtr / SpillArena: free-list recycling, RAII
+// BlockPool / PoolPtr: free-list recycling, RAII
 // lifecycle, stats accounting, and the opt-in MetricsRegistry exposure.
 #include "sim/pool.hpp"
 
@@ -12,7 +12,6 @@ namespace {
 
 using hwatch::sim::BlockPool;
 using hwatch::sim::PoolPtr;
-using hwatch::sim::SpillArena;
 
 TEST(BlockPoolTest, RecyclesBlocks) {
   BlockPool pool(64);
@@ -107,40 +106,6 @@ TEST(SimContextPoolTest, PublishPoolMetricsIsOptIn) {
   }
   EXPECT_EQ(ctx.metrics().counter("pool.packet.hit").value(), 1u);
   EXPECT_EQ(ctx.metrics().counter("pool.packet.miss").value(), 1u);
-}
-
-TEST(SpillArenaTest, RecyclesWithinSizeClass) {
-  SpillArena arena;
-  void* a = arena.allocate(100);  // 128-byte class
-  EXPECT_EQ(arena.stats().misses, 1u);
-  arena.deallocate(a, 100);
-  void* b = arena.allocate(120);  // same class, different request size
-  EXPECT_EQ(b, a);
-  EXPECT_EQ(arena.stats().hits, 1u);
-  arena.deallocate(b, 120);
-}
-
-TEST(SpillArenaTest, OversizedRequestsBypass) {
-  SpillArena arena;
-  void* big = arena.allocate(SpillArena::kMaxClassBytes + 1);
-  EXPECT_NE(big, nullptr);
-  EXPECT_EQ(arena.stats().bypass, 1u);
-  EXPECT_EQ(arena.stats().hits, 0u);
-  arena.deallocate(big, SpillArena::kMaxClassBytes + 1);
-}
-
-TEST(SpillArenaTest, DistinctClassesDoNotMix) {
-  SpillArena arena;
-  void* small = arena.allocate(64);
-  arena.deallocate(small, 64);
-  void* large = arena.allocate(1024);  // different class: fresh block
-  EXPECT_EQ(arena.stats().misses, 2u);
-  EXPECT_EQ(arena.stats().hits, 0u);
-  arena.deallocate(large, 1024);
-  void* again = arena.allocate(900);  // 1024 class again: recycled
-  EXPECT_EQ(again, large);
-  EXPECT_EQ(arena.stats().hits, 1u);
-  arena.deallocate(again, 900);
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "api/sharded.hpp"
 #include "sim/json.hpp"
 #include "sim/shard_group.hpp"
 #include "sim/shard_telemetry.hpp"
@@ -224,13 +225,58 @@ TEST(ShardTelemetryTest, WorkerTimelineBalancedAndSorted) {
   EXPECT_EQ(spans, 2 * 3 * 4);
 }
 
+TEST(ShardTelemetryTest, WorkerExportEscapesProcessName) {
+  ShardTelemetry::Config cfg = base_config(2);
+  cfg.wall_spans = true;
+  ShardTelemetry tel(std::move(cfg));
+  tel.worker_mark(0, ShardTelemetry::Mark::kRun);
+  tel.worker_mark(0, ShardTelemetry::Mark::kEnd);
+
+  const std::string label = "run \"a\" in C:\\tmp";
+  std::ostringstream os;
+  tel.export_chrome_workers(os, label);
+  std::string err;
+  const Json j = Json::parse(os.str(), &err);
+  ASSERT_TRUE(err.empty()) << err;
+  const Json& meta = j.find("traceEvents")->items().front();
+  EXPECT_EQ(meta.find("name")->as_string(), "process_name");
+  EXPECT_EQ(meta.find("args")->find("name")->as_string(), label + "/workers");
+
+  // A plain label keeps its exact bytes.
+  std::ostringstream plain;
+  tel.export_chrome_workers(plain, "plain-run");
+  EXPECT_NE(plain.str().find(
+                "\"args\":{\"name\":\"plain-run/workers\"}}"),
+            std::string::npos);
+}
+
 TEST(ShardTelemetryTest, BudgetEnvParsing) {
-  ::unsetenv("HWATCH_EPOCH_BUDGET_MS");
-  EXPECT_EQ(ShardTelemetry::epoch_budget_ms_from_env(), 0u);
-  ::setenv("HWATCH_EPOCH_BUDGET_MS", "250", 1);
-  EXPECT_EQ(ShardTelemetry::epoch_budget_ms_from_env(), 250u);
-  ::setenv("HWATCH_EPOCH_BUDGET_MS", "nonsense", 1);
-  EXPECT_EQ(ShardTelemetry::epoch_budget_ms_from_env(), 0u);
+  // The run path reads HWATCH_EPOCH_BUDGET_MS before it builds anything;
+  // a value that is not a positive integer is an error naming the
+  // variable and the value, never a silently disabled watchdog.
+  api::FatTreeScenarioConfig cfg;
+  cfg.k = 4;
+  cfg.flows_per_host = 1;
+  cfg.flow_bytes = 10'000;
+  cfg.duration = milliseconds(1);
+  cfg.shards = 2;
+  for (const char* bad : {"nonsense", "0", "-5", "12ms"}) {
+    ::setenv("HWATCH_EPOCH_BUDGET_MS", bad, 1);
+    try {
+      (void)api::run_fat_tree_sharded(cfg);
+      ADD_FAILURE() << "no error for HWATCH_EPOCH_BUDGET_MS=" << bad;
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("HWATCH_EPOCH_BUDGET_MS"), std::string::npos)
+          << what;
+      EXPECT_NE(what.find(std::string("\"") + bad + "\""),
+                std::string::npos)
+          << what;
+    }
+  }
+  // A positive budget far above any epoch's wall time runs normally.
+  ::setenv("HWATCH_EPOCH_BUDGET_MS", "600000", 1);
+  EXPECT_NO_THROW((void)api::run_fat_tree_sharded(cfg));
   ::unsetenv("HWATCH_EPOCH_BUDGET_MS");
 }
 

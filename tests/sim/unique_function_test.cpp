@@ -1,5 +1,5 @@
 // UniqueFunction semantics: move-only captures, the SBO/spill boundary,
-// destruction of never-invoked callbacks (the "packet parked in a
+// destruction of never-invoked callbacks (the "pooled packet parked in a
 // cancelled event" case), and scheduler teardown with packet-carrying
 // events still pending.  The ASan CI job doubles as the leak check.
 #include "sim/unique_function.hpp"
@@ -12,6 +12,7 @@
 #include <utility>
 
 #include "net/packet.hpp"
+#include "sim/pool.hpp"
 #include "sim/scheduler.hpp"
 
 namespace {
@@ -127,19 +128,24 @@ TEST(UniqueFunctionTest, SpilledCallableInvokesAndDestroys) {
 }
 
 TEST(UniqueFunctionTest, NeverInvokedPacketCallbackIsDestroyed) {
-  // The cancelled-event case: a callback carrying a Packet by value is
-  // destroyed without ever being invoked; nothing leaks (ASan-enforced)
-  // and the probe's destructor runs exactly once.
+  // The cancelled-event case: a callback holding a pooled Packet is
+  // destroyed without ever being invoked; the block goes back to the
+  // pool (ASan-enforced: nothing leaks) and the probe's destructor runs
+  // exactly once.
+  hwatch::sim::BlockPool pool(sizeof(hwatch::net::Packet));
   int destroyed = 0;
   {
     hwatch::net::Packet pkt;
     pkt.payload_bytes = 1442;
     hwatch::sim::Scheduler::Callback cb =
-        [pkt, d = DtorCounter(&destroyed)]() mutable { (void)pkt; };
-    EXPECT_TRUE(cb.is_inline());  // a Packet rides in the SBO buffer
+        [p = pool.make<hwatch::net::Packet>(pkt),
+         d = DtorCounter(&destroyed)] { (void)p; };
+    EXPECT_TRUE(cb.is_inline());  // the handle rides in the SBO buffer
+    EXPECT_EQ(pool.stats().outstanding, 1u);
     EXPECT_EQ(destroyed, 0);
   }
   EXPECT_EQ(destroyed, 1);
+  EXPECT_EQ(pool.stats().outstanding, 0u);
 }
 
 TEST(UniqueFunctionTest, AssignmentDestroysPrevious) {
@@ -191,6 +197,9 @@ TEST(SchedulerCallbackLifetime, CancelDestroysCallbackEagerly) {
 }
 
 TEST(SchedulerCallbackLifetime, TeardownDestroysPendingPacketEvents) {
+  // Declared before the scheduler, as in SimContext: pending callbacks
+  // return their blocks before the pool dies.
+  hwatch::sim::BlockPool pool(sizeof(hwatch::net::Packet));
   int destroyed = 0;
   {
     hwatch::sim::Scheduler sched;
@@ -199,15 +208,16 @@ TEST(SchedulerCallbackLifetime, TeardownDestroysPendingPacketEvents) {
       pkt.uid = static_cast<std::uint64_t>(i);
       pkt.payload_bytes = 1000;
       sched.schedule_at(1000 + i,
-                        [pkt, d = DtorCounter(&destroyed)]() mutable {
-                          (void)pkt;
-                        });
+                        [p = pool.make<hwatch::net::Packet>(pkt),
+                         d = DtorCounter(&destroyed)] { (void)p; });
     }
     sched.run_until(500);  // nothing due yet; all 16 still pending
     EXPECT_EQ(sched.pending(), 16u);
+    EXPECT_EQ(pool.stats().outstanding, 16u);
     EXPECT_EQ(destroyed, 0);
   }
   EXPECT_EQ(destroyed, 16);
+  EXPECT_EQ(pool.stats().outstanding, 0u);
 }
 
 TEST(SchedulerCallbackLifetime, SlotReuseAfterExecuteAndCancel) {
