@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -124,13 +125,23 @@ inline std::uint64_t peak_rss_bytes() {
   return static_cast<std::uint64_t>(ru.ru_maxrss) * 1024;
 }
 
+/// One point of a bench report: its name, its executed event count,
+/// and (sharded points only, 0 otherwise) the per-epoch max/mean shard
+/// events that check_perf.py --report surfaces next to events/s.
+struct ReportPoint {
+  std::string name;
+  std::uint64_t events = 0;
+  double imbalance = 0;
+};
+
 /// Machine-readable bench report (`bench_out/BENCH_<name>.json`, schema
 /// hwatch.bench/v1): per-point event counts, total wall time, event
-/// rate, and peak RSS — the perf trajectory tracked across PRs.  CI
-/// uploads these as artifacts.
-inline void write_bench_json(const std::string& name,
-                             const std::vector<Curve>& curves,
-                             double wall_s) {
+/// rate, peak RSS and, for sweeps, the thread count — the perf
+/// trajectory tracked across PRs.  CI uploads these as artifacts.
+inline void write_bench_report(const std::string& name,
+                               const std::vector<ReportPoint>& points,
+                               double wall_s,
+                               std::optional<unsigned> threads = {}) {
   namespace fs = std::filesystem;
   std::error_code ec;
   fs::create_directories("bench_out", ec);
@@ -141,15 +152,12 @@ inline void write_bench_json(const std::string& name,
   }
   std::uint64_t events = 0;
   sim::Json pts = sim::Json::array();
-  for (const Curve& c : curves) {
-    events += c.results.events_executed;
+  for (const ReportPoint& rp : points) {
+    events += rp.events;
     sim::Json p = sim::Json::object();
-    p.set("name", sim::Json(c.name));
-    p.set("events",
-          sim::Json(static_cast<std::int64_t>(c.results.events_executed)));
-    // Sharded points only (0 otherwise): per-epoch max/mean shard
-    // events — check_perf.py --report surfaces it next to events/s.
-    p.set("imbalance", sim::Json(c.results.shard_imbalance));
+    p.set("name", sim::Json(rp.name));
+    p.set("events", sim::Json(static_cast<std::int64_t>(rp.events)));
+    p.set("imbalance", sim::Json(rp.imbalance));
     pts.push_back(std::move(p));
   }
   sim::Json doc = sim::Json::object();
@@ -162,13 +170,27 @@ inline void write_bench_json(const std::string& name,
           sim::Json(wall_s > 0 ? static_cast<double>(events) / wall_s : 0.0));
   doc.set("peak_rss_bytes",
           sim::Json(static_cast<std::int64_t>(peak_rss_bytes())));
-  doc.set("sweep_threads",
-          sim::Json(static_cast<std::int64_t>(sweep_threads())));
+  if (threads) {
+    doc.set("sweep_threads", sim::Json(static_cast<std::int64_t>(*threads)));
+  }
   const fs::path out = fs::path("bench_out") / ("BENCH_" + name + ".json");
   std::ofstream os(out);
   doc.dump(os, 2);
   os << "\n";
   std::cout << "(bench report written to " << out.string() << ")\n";
+}
+
+/// The report of a figure bench: one point per curve.
+inline void write_bench_json(const std::string& name,
+                             const std::vector<Curve>& curves,
+                             double wall_s) {
+  std::vector<ReportPoint> points;
+  points.reserve(curves.size());
+  for (const Curve& c : curves) {
+    points.push_back({c.name, c.results.events_executed,
+                      c.results.shard_imbalance});
+  }
+  write_bench_report(name, points, wall_s, sweep_threads());
 }
 
 template <typename Config>

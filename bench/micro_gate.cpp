@@ -20,7 +20,6 @@
 
 #include "bench_common.hpp"
 #include "net/queue.hpp"
-#include "sim/json.hpp"
 #include "sim/scheduler.hpp"
 
 namespace {
@@ -65,7 +64,7 @@ std::uint64_t cancel_churn() {
 }
 
 /// 1M enqueue/dequeue pairs through a DropTail qdisc — the per-packet
-/// decision cost every hop pays before the train takes over.
+/// decision and pool-block cost every hop pays before transmission.
 std::uint64_t droptail_churn() {
   net::DropTailQueue q(250);
   net::Packet p;
@@ -95,42 +94,6 @@ struct Result {
   const Micro* micro;
   double best_wall_s = 0;
 };
-
-void write_report(const std::string& name, std::uint64_t events,
-                  double wall_s,
-                  const std::vector<std::pair<std::string, std::uint64_t>>&
-                      points) {
-  namespace fs = std::filesystem;
-  std::error_code ec;
-  fs::create_directories("bench_out", ec);
-  if (ec) {
-    std::cerr << "warning: cannot create bench_out: " << ec.message() << "\n";
-    return;
-  }
-  sim::Json pts = sim::Json::array();
-  for (const auto& [pname, pevents] : points) {
-    sim::Json p = sim::Json::object();
-    p.set("name", sim::Json(pname));
-    p.set("events", sim::Json(static_cast<std::int64_t>(pevents)));
-    p.set("imbalance", sim::Json(0.0));
-    pts.push_back(std::move(p));
-  }
-  sim::Json doc = sim::Json::object();
-  doc.set("schema", sim::Json("hwatch.bench/v1"));
-  doc.set("name", sim::Json(name));
-  doc.set("points", std::move(pts));
-  doc.set("wall_s", sim::Json(wall_s));
-  doc.set("events", sim::Json(static_cast<std::int64_t>(events)));
-  doc.set("events_per_s",
-          sim::Json(wall_s > 0 ? static_cast<double>(events) / wall_s : 0.0));
-  doc.set("peak_rss_bytes",
-          sim::Json(static_cast<std::int64_t>(bench::peak_rss_bytes())));
-  const fs::path out = fs::path("bench_out") / ("BENCH_" + name + ".json");
-  std::ofstream os(out);
-  doc.dump(os, 2);
-  os << "\n";
-  std::cout << "(bench report written to " << out.string() << ")\n";
-}
 
 }  // namespace
 
@@ -169,18 +132,16 @@ int main() {
               << "M ops/s (best of " << reps << " reps)\n";
   }
 
-  std::uint64_t total_ops = 0;
   double total_wall = 0;
-  std::vector<std::pair<std::string, std::uint64_t>> points;
+  std::vector<bench::ReportPoint> points;
   for (const Result& r : results) {
-    write_report(r.micro->name, r.micro->ops, r.best_wall_s,
-                 {{r.micro->name, r.micro->ops}});
-    total_ops += r.micro->ops;
+    const bench::ReportPoint point{r.micro->name, r.micro->ops};
+    bench::write_bench_report(r.micro->name, {point}, r.best_wall_s);
     total_wall += r.best_wall_s;
-    points.emplace_back(r.micro->name, r.micro->ops);
+    points.push_back(point);
   }
   // Combined roll-up: one headline number for the substrate trajectory.
-  write_report("micro", total_ops, total_wall, points);
+  bench::write_bench_report("micro", points, total_wall);
   if (g_sink == 42) std::cout << "";  // keep g_sink observable
   return 0;
 }

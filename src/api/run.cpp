@@ -55,19 +55,22 @@ unsigned positive_env(const char* name, unsigned long max) {
   return static_cast<unsigned>(parsed);
 }
 
+bool env_flag(const char* name) {
+  const char* raw = std::getenv(name);
+  if (raw == nullptr || *raw == '\0') return false;
+  const std::string value(raw);
+  if (value == "0") return false;
+  if (value == "1") return true;
+  throw std::invalid_argument(std::string(name) + "=\"" + value +
+                              "\": expected 0 or 1");
+}
+
 namespace {
 
 // Wall-clock time feeds only the manifest `environment` section and the
 // stderr profile, which RunManifest::deterministic_dump() excludes —
 // simulated time and every result field stay seed-derived.
 using WallClock = std::chrono::steady_clock;  // hwlint: allow(nondeterminism)
-
-/// True when `name` is set to anything but "" or "0".
-bool env_flag(const char* name) {
-  const char* raw = std::getenv(name);
-  return raw != nullptr && *raw != '\0' &&
-         !(raw[0] == '0' && raw[1] == '\0');
-}
 
 /// One part's epoch protocol: drain the cross-part inboxes, report the
 /// earliest pending event, then run the local scheduler through the
@@ -276,11 +279,11 @@ ScenarioResults run_scenario(const ScenarioSpec& spec) {
   // before any part exists, instead of quietly disabling the watchdog.
   const std::uint64_t epoch_budget_ms = positive_env(
       "HWATCH_EPOCH_BUDGET_MS", std::numeric_limits<unsigned>::max());
-  const bool detect = spec.detect_incidents || env_flag("HWATCH_INCIDENTS");
+  const bool detect = env_flag("HWATCH_INCIDENTS") || spec.detect_incidents;
   const bool collect = spec.collect_metrics || metrics_dir != nullptr || detect;
   const bool trace = spec.trace_spans || trace_dir != nullptr;
-  const bool profile = spec.profile || env_flag("HWATCH_PROFILE");
-  const bool progress = sim::ProgressMeter::env_enabled();
+  const bool profile = env_flag("HWATCH_PROFILE") || spec.profile;
+  const bool progress = env_flag("HWATCH_PROGRESS");
   const bool flight_forced = env_flag("HWATCH_FLIGHT_DUMP");
   const WallClock::time_point wall0 = WallClock::now();
   const std::string label =

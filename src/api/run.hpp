@@ -95,6 +95,11 @@ ScenarioResults run_scenario(const ScenarioSpec& spec);
 /// the value.
 unsigned positive_env(const char* name, unsigned long max);
 
+/// Reads the boolean environment variable `name`: unset, "" or "0" is
+/// off and "1" is on; any other value throws std::invalid_argument
+/// naming the variable and the value.
+bool env_flag(const char* name);
+
 /// The manifest form of one AqmConfig.
 sim::Json aqm_json(const AqmConfig& a);
 

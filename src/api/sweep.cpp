@@ -28,7 +28,7 @@ void SweepRunner::dispatch(
   // Heartbeat (HWATCH_PROGRESS=1): one stderr line per finished point.
   // Progress output never touches results, so determinism is unaffected.
   std::optional<sim::ProgressMeter> progress;
-  if (sim::ProgressMeter::env_enabled()) progress.emplace(n, "sweep");
+  if (detail::env_flag("HWATCH_PROGRESS")) progress.emplace(n, "sweep");
   const unsigned workers =
       static_cast<unsigned>(std::min<std::size_t>(threads_, n));
   if (workers <= 1) {

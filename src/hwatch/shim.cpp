@@ -304,7 +304,7 @@ net::FilterVerdict HypervisorShim::pace_synack(net::Packet& p,
   }
   e.synack_queued = true;
   ++stats_.synacks_paced;
-  synack_queue_.push_back(net::Packet(p));
+  synack_queue_.push_back(ctx_.packet_pool().make<net::Packet>(p));
   if (!drain_scheduled_) {
     drain_scheduled_ = true;
     const sim::TimePs next_slot = slot_start_ + cfg_.synack_batch_interval;
@@ -322,11 +322,11 @@ void HypervisorShim::drain_synack_queue() {
     slot_used_ = 0;
   }
   while (!synack_queue_.empty() && slot_used_ < cfg_.synack_batch_size) {
-    net::Packet p = synack_queue_.pop_front();
+    sim::PoolPtr<net::Packet> p = synack_queue_.pop_front();
     ++slot_used_;
-    FlowEntry* e = flows_.find(net::flow_key_of(p).reversed());
+    FlowEntry* e = flows_.find(net::flow_key_of(*p).reversed());
     if (e != nullptr) e->synack_queued = false;
-    host_.send_raw(std::move(p));
+    host_.send_raw(std::move(*p));
   }
   if (!synack_queue_.empty()) {
     drain_scheduled_ = true;

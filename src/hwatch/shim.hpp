@@ -179,10 +179,11 @@ class HWATCH_SHARD_CONFINED HypervisorShim final : public net::PacketFilter {
   /// "any other packets flowing between the source-destination pairs").
   std::unordered_map<net::NodeId, DelayWatcher> path_delay_;
 
-  // SYN-ACK admission pacing state.  PacketRing (not std::deque): the
-  // pacing queue sits on the packet path, and deque churns a heap node
-  // every few packets even at steady depth.
-  net::PacketRing synack_queue_;
+  // SYN-ACK admission pacing state.  A paced SYN-ACK waits in a block
+  // of the context's packet pool; the ring (not std::deque, which
+  // churns a heap node every few packets even at steady depth) holds
+  // the handles.
+  net::Ring<sim::PoolPtr<net::Packet>> synack_queue_;
   sim::TimePs slot_start_ = 0;
   std::uint32_t slot_used_ = 0;
   bool drain_scheduled_ = false;

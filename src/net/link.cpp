@@ -50,9 +50,10 @@ static void attribute_latency(sim::SpanTracer& tr, const Packet& p,
 }
 
 void Link::start_transmission() {
-  std::optional<Packet> next = qdisc_->dequeue(ctx_.now());
+  sim::PoolPtr<Packet> next = qdisc_->dequeue(ctx_.now());
   if (!next) return;
   transmitting_ = true;
+  ++in_flight_;
   const sim::TimePs tx = rate_.transmission_time(next->size_bytes());
   busy_time_ += tx;
   tx_events_.inc();
@@ -62,20 +63,18 @@ void Link::start_transmission() {
     attribute_latency(ctx_.tracer(), *next,
                       sim::LatencyComponent::kTransmission, tx);
   }
-  // The packet joins the in-flight train; the event itself is just a
-  // `this` capture.
-  flight_.push_back(std::move(*next));
-  ctx_.scheduler().schedule_in(tx, [this] { on_transmission_complete(); });
+  ctx_.scheduler().schedule_in(tx, [this, p = std::move(next)]() mutable {
+    on_transmission_complete(std::move(p));
+  });
 }
 
-void Link::on_transmission_complete() {
+void Link::on_transmission_complete(sim::PoolPtr<Packet> p) {
   sim::ProfScope prof(ctx_.profiler(), sim::ProfComponent::kLinkTx);
   transmitting_ = false;
-  Packet& p = flight_.at(tx_done_);
-  bytes_delivered_ += p.size_bytes();
+  bytes_delivered_ += p->size_bytes();
   ++packets_delivered_;
   if (ctx_.tracer().enabled()) {
-    attribute_latency(ctx_.tracer(), p, sim::LatencyComponent::kPropagation,
+    attribute_latency(ctx_.tracer(), *p, sim::LatencyComponent::kPropagation,
                       prop_delay_);
   }
   // Propagation: the receiver sees the packet prop_delay later.  The
@@ -87,23 +86,17 @@ void Link::on_transmission_complete() {
     // arrival time.  Pushing at transmission-complete (not arrival)
     // time is what keeps the conservative window sound: prop_delay_ is
     // >= the shard lookahead, so the stamp always lands in a window the
-    // destination has not started yet.  Every packet leaves the train
-    // here, so tx_done_ stays 0 on a cross-shard link.
-    remote_inbox_->push(ctx_.now() + prop_delay_, flight_.pop_front());
+    // destination has not started yet.
+    --in_flight_;
+    remote_inbox_->push(ctx_.now() + prop_delay_, std::move(*p));
     start_transmission();
     return;
   }
-  ++tx_done_;
-  ctx_.scheduler().schedule_in(prop_delay_, [this] { deliver_front(); });
+  ctx_.scheduler().schedule_in(prop_delay_, [this, p = std::move(p)] {
+    --in_flight_;
+    dst_->handle_packet(std::move(*p));
+  });
   start_transmission();
-}
-
-void Link::deliver_front() {
-  // Pop before dispatch: handle_packet may re-enter this link's
-  // transmit() and push a new train entry.
-  Packet p = flight_.pop_front();
-  --tx_done_;
-  dst_->handle_packet(std::move(p));
 }
 
 }  // namespace hwatch::net

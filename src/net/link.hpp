@@ -5,20 +5,18 @@
 // delivered to the destination node after the propagation delay.  Busy
 // time is accumulated so samplers can report utilization exactly.
 //
-// In-flight packets form a train: once dequeued from the qdisc they
-// live in `flight_` (a FIFO ring) until delivery, so the per-packet
-// tx-complete and propagation events are tiny `[this]` captures rather
-// than packet-carrying closures.  Event times, counts and ordering are
-// identical to the packet-in-callback formulation — the train only
-// changes where the bytes wait — so traces and manifests do not move by
-// a byte.
+// A packet stays in the pool block the qdisc wrote it into until it
+// arrives: dequeue hands back the block's handle, the tx-complete event
+// carries it (`[this, handle]`), and so does the propagation event
+// after it.  A cross-shard link instead moves the packet into the
+// remote inbox at tx-complete, which frees the block.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
 
-#include "net/packet_ring.hpp"
 #include "net/queue.hpp"
 #include "sim/annotations.hpp"
 #include "sim/context.hpp"
@@ -57,6 +55,11 @@ class HWATCH_SHARD_CONFINED Link {
   /// utilization over [t0,t1] = (busy(t1) - busy(t0)) / (t1 - t0).
   sim::TimePs busy_time() const { return busy_time_; }
 
+  /// Packets dequeued from the qdisc that have neither arrived at the
+  /// destination nor been pushed into the remote inbox yet: each holds
+  /// one packet-pool block inside a pending event.
+  std::size_t in_flight() const { return in_flight_; }
+
   /// Marks this link as a cross-shard egress: the destination node lives
   /// in another shard, and completed transmissions are pushed into
   /// `inbox` stamped with their arrival time (now + propagation delay)
@@ -66,8 +69,7 @@ class HWATCH_SHARD_CONFINED Link {
 
  private:
   void start_transmission();
-  void on_transmission_complete();
-  void deliver_front();
+  void on_transmission_complete(sim::PoolPtr<Packet> p);
 
   sim::SimContext& ctx_;
   std::string name_;
@@ -79,13 +81,7 @@ class HWATCH_SHARD_CONFINED Link {
   // Shared per-context event-type counters (one branch when disabled).
   sim::Counter& tx_events_;
   sim::Counter& prop_events_;
-  // The packet train: entries [0, tx_done_) have finished serializing
-  // and are propagating towards dst_ (oldest first); the entry at
-  // tx_done_, if any, is on the wire.  Deliveries pop the front —
-  // tx-end times are monotone along one link, so propagation arrivals
-  // are FIFO and the ring order is the delivery order.
-  PacketRing flight_;
-  std::size_t tx_done_ = 0;
+  std::size_t in_flight_ = 0;
   bool transmitting_ = false;
   sim::TimePs busy_time_ = 0;
   std::uint64_t bytes_delivered_ = 0;

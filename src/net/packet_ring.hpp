@@ -1,5 +1,5 @@
-// Growable FIFO ring — the storage behind qdisc FIFOs (as a ring of
-// pooled packet handles) and link packet trains (as a ring of Packets).
+// Growable FIFO ring of pooled packet handles — the storage behind
+// qdisc FIFOs and the shim's SYN-ACK pacing queue.
 //
 // Replaces std::deque, whose libstdc++ implementation allocates and
 // frees a 512-byte node roughly every three elements even when the
@@ -17,12 +17,12 @@
 // T, so a ring of owning handles never keeps a dead element's resource.
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstddef>
 #include <utility>
 #include <vector>
-
-#include "net/packet.hpp"
 
 namespace hwatch::net {
 
@@ -110,17 +110,11 @@ class Ring {
   /// known at construction.
   void reserve(std::size_t n) {
     if (n <= slots_.size()) return;
-    rebuild(round_up_pow2(n));
+    rebuild(std::bit_ceil(std::max(n, kMinCapacity)));
   }
 
  private:
   std::size_t wrap(std::size_t i) const { return i & (slots_.size() - 1); }
-
-  static std::size_t round_up_pow2(std::size_t n) {
-    std::size_t c = kMinCapacity;
-    while (c < n) c <<= 1;
-    return c;
-  }
 
   void grow() { rebuild(slots_.empty() ? kMinCapacity : slots_.size() * 2); }
 
@@ -139,7 +133,5 @@ class Ring {
   std::size_t head_ = 0;
   std::size_t size_ = 0;
 };
-
-using PacketRing = Ring<Packet>;
 
 }  // namespace hwatch::net

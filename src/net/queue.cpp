@@ -48,13 +48,13 @@ EnqueueOutcome QueueDiscipline::enqueue(Packet&& p, sim::TimePs now) {
   return outcome;
 }
 
-std::optional<Packet> QueueDiscipline::dequeue(sim::TimePs now) {
-  if (fifo_.empty()) return std::nullopt;
-  Packet p = std::move(*fifo_.pop_front());
-  if (high_count_ > 0 && service_class(p) > 0) --high_count_;
-  bytes_ -= p.size_bytes();
+sim::PoolPtr<Packet> QueueDiscipline::dequeue(sim::TimePs now) {
+  if (fifo_.empty()) return {};
+  sim::PoolPtr<Packet> p = fifo_.pop_front();
+  if (high_count_ > 0 && service_class(*p) > 0) --high_count_;
+  bytes_ -= p->size_bytes();
   ++stats_.dequeued;
-  on_dequeue(p, now);
+  on_dequeue(*p, now);
   if (incidents_) incidents_->on_queue_depth(incident_queue_, fifo_.size(), now);
   return p;
 }

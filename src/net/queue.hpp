@@ -11,16 +11,17 @@
 // of 16-byte pool handles, and the Packets themselves live in blocks of
 // a sim::BlockPool.  A Link binds its queue to its context's
 // packet_pool(), which every queue of that context shares, so a part's
-// packet memory tracks the aggregate peak occupancy of its queues.  A
-// queue used on its own (unit tests, micro benches) draws from a pool
-// it owns.
+// packet memory tracks the aggregate peak occupancy of its queues.
+// dequeue() hands the block's handle to the caller rather than copying
+// the packet out.  A queue used on its own (unit tests, micro benches)
+// draws from a pool it owns, so its dequeued handles must not outlive
+// it.
 #pragma once
 
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "net/packet.hpp"
@@ -80,8 +81,10 @@ class QueueDiscipline {
   /// (accounted in stats), mirroring a real switch.
   EnqueueOutcome enqueue(Packet&& p, sim::TimePs now);
 
-  /// Removes the head-of-line packet, if any.
-  std::optional<Packet> dequeue(sim::TimePs now);
+  /// Removes the head-of-line packet and hands back its pool block;
+  /// null when the queue is empty.  The packet is not copied: the
+  /// handle keeps the block the packet was admitted into.
+  sim::PoolPtr<Packet> dequeue(sim::TimePs now);
 
   std::size_t len_packets() const { return fifo_.size(); }
   std::uint64_t len_bytes() const { return bytes_; }
@@ -112,6 +115,7 @@ class QueueDiscipline {
     pool_ = &pool;
   }
   /// The pool queued packets live in: one block per queued packet.
+  /// Dequeued handles keep their block in the same pool.
   const sim::BlockPool& packet_pool() const { return *pool_; }
 
   const QueueLimits& limits() const { return limits_; }

@@ -1,6 +1,7 @@
 #include "net/shard_channel.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <stdexcept>
 #include <utility>
@@ -9,18 +10,8 @@
 
 namespace hwatch::net {
 
-namespace {
-
-std::size_t round_up_pow2(std::size_t n) {
-  std::size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
-
-}  // namespace
-
 ShardInbox::ShardInbox(std::size_t capacity)
-    : capacity_(round_up_pow2(std::max<std::size_t>(capacity, 2))) {}
+    : capacity_(std::bit_ceil(std::max<std::size_t>(capacity, 2))) {}
 
 void ShardInbox::push(sim::TimePs deliver_time, Packet&& p) {
   ++pushed_;

@@ -91,23 +91,13 @@ class HWATCH_SHARD_CONFINED SimContext {
   /// the pool.
   static constexpr std::size_t kPacketBlockBytes = 192;
 
-  /// Free-list pool for packet-sized blocks.  Rare paths that must park
-  /// a packet behind a pointer (e.g. the shim holding a SYN) allocate
-  /// here and recycle the block instead of hitting the global allocator.
+  /// Free-list pool for packet-sized blocks.  Every packet waiting
+  /// inside this context — queued, in flight on a link, drained from a
+  /// cross-shard inbox, or held by the shim — lives in one of its
+  /// blocks behind a PoolPtr, so the packet path recycles blocks
+  /// instead of hitting the global allocator.
   BlockPool& packet_pool() { return packet_pool_; }
   const BlockPool& packet_pool() const { return packet_pool_; }
-
-  /// Opt-in pool observability: binds the packet pool's hit/miss to
-  /// MetricsRegistry counters ("pool.packet.hit"/"pool.packet.miss"),
-  /// seeded with the totals so far.  Off by default so the manifest
-  /// counter set (and its byte-exact deterministic dump) is unchanged.
-  void publish_pool_metrics() {
-    Counter& hit = metrics_.counter("pool.packet.hit");
-    Counter& miss = metrics_.counter("pool.packet.miss");
-    hit.inc(packet_pool_.stats().hits);
-    miss.inc(packet_pool_.stats().misses);
-    packet_pool_.attach_counters(&hit, &miss);
-  }
 
  private:
   // Declared before the scheduler: pending callbacks holding PoolPtrs

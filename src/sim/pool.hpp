@@ -1,8 +1,8 @@
 // Free-list memory pool for the simulator's packet blocks.
 //
 // BlockPool is a fixed-block free list.  SimContext owns one sized for
-// a net::Packet: every queued packet, every cross-shard delivery and
-// every SYN the shim holds across a probe train lives in one of its
+// a net::Packet: every queued or in-flight packet, every cross-shard
+// delivery and every SYN or SYN-ACK the shim holds lives in one of its
 // blocks, so those paths recycle blocks instead of hitting the global
 // allocator.  PoolPtr is the move-only RAII handle; it is small enough
 // to ride a scheduler callback.  A pool is confined to its context's
@@ -11,10 +11,8 @@
 // The pool does not affect determinism: memory reuse changes addresses,
 // not event ordering, and nothing in the simulator keys off addresses.
 //
-// Pool occupancy is tracked in plain counters (hits/misses/outstanding)
-// always; MetricsRegistry exposure is opt-in via attach_counters so the
-// default manifest's counter set — and therefore its byte-exact
-// deterministic dump — is unchanged.
+// Pool occupancy is tracked in plain counters (hits/misses/outstanding),
+// read through stats(); they never reach the manifest.
 #pragma once
 
 #include <cassert>
@@ -23,8 +21,6 @@
 #include <new>
 #include <type_traits>
 #include <utility>
-
-#include "sim/metrics.hpp"
 
 namespace hwatch::sim {
 
@@ -105,11 +101,9 @@ class BlockPool {
       block = free_;
       free_ = free_->next;
       ++stats_.hits;
-      if (hit_counter_ != nullptr) hit_counter_->inc();
     } else {
       block = ::operator new(block_bytes_);
       ++stats_.misses;
-      if (miss_counter_ != nullptr) miss_counter_->inc();
     }
     ++stats_.outstanding;
     if (stats_.outstanding > stats_.peak_outstanding) {
@@ -143,14 +137,6 @@ class BlockPool {
 
   const Stats& stats() const { return stats_; }
 
-  /// Opt-in MetricsRegistry exposure: subsequent hits/misses also bump
-  /// these counters.  Not wired by default so the manifest counter set
-  /// (and its deterministic dump) is unchanged unless a run asks for it.
-  void attach_counters(Counter* hit, Counter* miss) {
-    hit_counter_ = hit;
-    miss_counter_ = miss;
-  }
-
  private:
   struct FreeNode {
     FreeNode* next;
@@ -159,8 +145,6 @@ class BlockPool {
   std::size_t block_bytes_;
   FreeNode* free_ = nullptr;
   Stats stats_;
-  Counter* hit_counter_ = nullptr;
-  Counter* miss_counter_ = nullptr;
 };
 
 template <typename T>

@@ -46,8 +46,8 @@
 // stay 24 bytes, so bucket sorts and sift-up/down move small PODs while
 // the callback is written exactly once per event.  Every callback slot
 // has the same 32-byte inline buffer: a `this` pointer plus a few words
-// (timers, flow starts, sampler ticks, link train boundaries) or a
-// pooled packet handle (cross-shard deliveries, held SYNs).  A packet
+// (timers, flow starts, sampler ticks) or a pooled packet handle (link
+// tx-complete and arrival, cross-shard deliveries, held SYNs).  A packet
 // never rides a callback by value; schedule_at static_asserts that each
 // capture fits inline, so no event can reach the allocator.  In steady
 // state (slots, buckets and heap at their high-water marks)

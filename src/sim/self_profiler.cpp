@@ -6,7 +6,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <ostream>
 
 namespace hwatch::sim {
@@ -128,12 +127,6 @@ void SelfProfiler::report(std::ostream& os,
         static_cast<unsigned long long>(s.max_ns));
     os << buf;
   }
-}
-
-bool ProgressMeter::env_enabled() {
-  const char* raw = std::getenv("HWATCH_PROGRESS");
-  return raw != nullptr && *raw != '\0' &&
-         !(raw[0] == '0' && raw[1] == '\0');
 }
 
 ProgressMeter::ProgressMeter(std::size_t total, std::string label)

@@ -114,10 +114,6 @@ class ProfScope {
 /// self_profiler.cpp like the profiler's.
 class ProgressMeter {
  public:
-  /// True when the HWATCH_PROGRESS environment variable is set to
-  /// anything but "" or "0".
-  static bool env_enabled();
-
   ProgressMeter(std::size_t total, std::string label);
 
   /// Marks one unit done and prints the heartbeat line.

@@ -7,6 +7,7 @@
 #include "sim/shard_telemetry.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -34,12 +35,6 @@ std::uint64_t wall_now_ns() {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
-}
-
-std::uint64_t round_up_pow2_u64(std::uint64_t n) {
-  std::uint64_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
 }
 
 const char* phase_name(std::uint8_t phase) {
@@ -367,7 +362,7 @@ Json ShardTelemetry::flight_json(const char* reason) const {
   if (spill_total() > 0) {
     j.set("advice",
           Json("inbox spills observed; raise inbox_capacity to >= " +
-               std::to_string(round_up_pow2_u64(inbox_peak_depth()))));
+               std::to_string(std::bit_ceil(inbox_peak_depth()))));
   }
   return j;
 }
@@ -515,7 +510,7 @@ void ShardTelemetry::report(std::ostream& os) const {
         buf, sizeof(buf),
         "advice: raise inbox_capacity to >= %llu (spills observed)\n",
         static_cast<unsigned long long>(
-            round_up_pow2_u64(inbox_peak_depth())));
+            std::bit_ceil(inbox_peak_depth())));
     os << buf;
   }
   if (cfg_.wall_spans) {

@@ -10,6 +10,7 @@
 #include <set>
 #include <string>
 
+#include "api/run.hpp"
 #include "api/scenario.hpp"
 #include "sim/random.hpp"
 
@@ -227,6 +228,41 @@ TEST(ThreadsFromEnvTest, ErrorMessageNamesVariableAndValue) {
     EXPECT_NE(what.find("banana"), std::string::npos);
     EXPECT_NE(what.find("positive integer"), std::string::npos);
   }
+}
+
+/// The boolean flags (HWATCH_PROGRESS, HWATCH_PROFILE, HWATCH_INCIDENTS,
+/// HWATCH_FLIGHT_DUMP) are strict: "" and "0" are off, "1" is on, and
+/// anything else is an error naming the variable and the value, not a
+/// silent "on".
+TEST(EnvFlagTest, StrictBooleanValues) {
+  const char* var = "HWATCH_PROGRESS";
+  ::unsetenv(var);
+  EXPECT_FALSE(detail::env_flag(var));
+  ::setenv(var, "", 1);
+  EXPECT_FALSE(detail::env_flag(var));
+  ::setenv(var, "0", 1);
+  EXPECT_FALSE(detail::env_flag(var));
+  ::setenv(var, "1", 1);
+  EXPECT_TRUE(detail::env_flag(var));
+  for (const char* bad : {"no", "yes", "true", "off", "2", "01", " 1"}) {
+    ::setenv(var, bad, 1);
+    try {
+      (void)detail::env_flag(var);
+      ADD_FAILURE() << "no error for " << var << "=" << bad;
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(var), std::string::npos) << what;
+      EXPECT_NE(what.find(std::string("\"") + bad + "\""),
+                std::string::npos)
+          << what;
+    }
+  }
+  // A sweep reads HWATCH_PROGRESS before it runs any point.
+  ::setenv(var, "no", 1);
+  EXPECT_THROW(SweepRunner(1).run(std::vector<DumbbellScenarioConfig>(
+                   1, small_point(3))),
+               std::invalid_argument);
+  ::unsetenv(var);
 }
 
 }  // namespace

@@ -775,6 +775,34 @@ TEST(HwlintDriver, CleanFixtureTreePasses) {
   EXPECT_EQ(report.files_scanned, 12u);
 }
 
+TEST(HwlintDriver, StaleAllowlistEntryIsABadSuppression) {
+  // The tree's allowlist has one entry that silences seed.cpp and one
+  // (line 6) that matches nothing: a whole-tree scan reports the stale
+  // one at its allowlist line.
+  hwlint::Options opts;
+  opts.root = std::string(HWLINT_FIXTURES) + "/stale_allowlist_tree";
+  hwlint::Report report;
+  std::ostringstream err;
+  ASSERT_EQ(hwlint::run_lint(opts, report, err), 1) << err.str();
+  ASSERT_EQ(report.violations.size(), 1u);
+  const hwlint::Violation& v = report.violations[0];
+  EXPECT_EQ(v.file, "tools/hwlint/allowlist.txt");
+  EXPECT_EQ(v.line, 6);
+  EXPECT_EQ(v.rule, "bad-suppression");
+  EXPECT_NE(v.message.find("allow nondeterminism src/net/*"),
+            std::string::npos)
+      << v.message;
+  EXPECT_EQ(report.allowlisted, 1u);
+
+  // An explicit path list sees only part of the tree, so an entry it
+  // does not exercise is not evidence of staleness.
+  opts.paths = {"src"};
+  hwlint::Report partial;
+  EXPECT_EQ(hwlint::run_lint(opts, partial, err), 0) << err.str();
+  EXPECT_TRUE(partial.violations.empty());
+  EXPECT_EQ(partial.allowlisted, 1u);
+}
+
 TEST(HwlintDriver, ViolationsAreSorted) {
   hwlint::Options opts;
   opts.root = std::string(HWLINT_FIXTURES) + "/bad_tree";

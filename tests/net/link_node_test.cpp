@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <vector>
 
 #include "net/link.hpp"
@@ -104,6 +106,56 @@ TEST(LinkTest, QueueOverflowDropsAndCountsAreConsistent) {
   // more than 4 may be accepted depending on timing, but never all 20.
   EXPECT_GE(accepted, 4);
   EXPECT_LT(accepted, 20);
+}
+
+TEST(LinkTest, InFlightPacketsEachHoldOnePoolBlock) {
+  // Propagation (100 us) far beyond ten serializations (12 us): every
+  // packet is queued, then on the wire, then propagating, and at each
+  // step holds exactly one block of the context's packet pool.
+  sim::SimContext ctx;
+  sim::Scheduler& sched = ctx.scheduler();
+  const sim::BlockPool& pool = ctx.packet_pool();
+  SinkNode dst(0, "dst");
+  Link link(ctx, "l", sim::DataRate::gbps(10), sim::microseconds(100),
+            std::make_unique<DropTailQueue>(64), &dst);
+  for (int i = 0; i < 10; ++i) link.transmit(sized_packet(1442, i));
+  EXPECT_EQ(link.in_flight(), 1u);  // the head is on the wire
+  EXPECT_EQ(pool.stats().outstanding, 10u);
+  std::size_t peak_in_flight = 0;
+  while (sched.step()) {
+    peak_in_flight = std::max(peak_in_flight, link.in_flight());
+    EXPECT_EQ(pool.stats().outstanding,
+              link.qdisc().len_packets() + link.in_flight())
+        << "at t=" << sched.now();
+  }
+  EXPECT_EQ(peak_in_flight, 10u);
+  ASSERT_EQ(dst.arrivals.size(), 10u);
+  EXPECT_EQ(dst.arrivals[9].uid, 9u);
+  EXPECT_EQ(link.in_flight(), 0u);
+  EXPECT_EQ(pool.stats().outstanding, 0u);
+}
+
+TEST(LinkTest, DestroyingTheContextMidPropagationReturnsEveryBlock) {
+  auto ctx = std::make_unique<sim::SimContext>();
+  SinkNode dst(0, "dst");
+  auto link = std::make_unique<Link>(
+      *ctx, "l", sim::DataRate::gbps(10), sim::microseconds(100),
+      std::make_unique<DropTailQueue>(64), &dst);
+  for (int i = 0; i < 10; ++i) link->transmit(sized_packet(1442, i));
+  ctx->scheduler().run_until(sim::microseconds(50));
+  ASSERT_TRUE(dst.arrivals.empty());
+  EXPECT_EQ(link->qdisc().len_packets(), 0u);
+  EXPECT_EQ(link->in_flight(), 10u);
+  EXPECT_EQ(ctx->packet_pool().stats().outstanding, 10u);
+  // The link goes first: its packets ride the pending arrival events,
+  // which still hold their blocks ...
+  link.reset();
+  EXPECT_EQ(ctx->scheduler().pending(), 10u);
+  EXPECT_EQ(ctx->packet_pool().stats().outstanding, 10u);
+  // ... until the context's scheduler destroys them, ahead of the pool
+  // (whose destructor asserts every block came back in debug builds).
+  ctx.reset();
+  EXPECT_TRUE(dst.arrivals.empty());
 }
 
 TEST(SwitchTest, ForwardsByDestination) {

@@ -45,10 +45,10 @@ TEST(DropTailTest, FifoOrder) {
   }
   for (std::uint64_t i = 0; i < 5; ++i) {
     auto p = q.dequeue(0);
-    ASSERT_TRUE(p.has_value());
+    ASSERT_TRUE(p);
     EXPECT_EQ(p->uid, i);
   }
-  EXPECT_FALSE(q.dequeue(0).has_value());
+  EXPECT_FALSE(q.dequeue(0));
 }
 
 TEST(DropTailTest, ByteAccounting) {
@@ -86,7 +86,7 @@ TEST(DctcpQueueTest, MarkSetsCePoint) {
   DctcpThresholdQueue q(100, 0);  // mark everything
   q.enqueue(data_packet(Ecn::kEct0), 0);
   auto p = q.dequeue(0);
-  ASSERT_TRUE(p.has_value());
+  ASSERT_TRUE(p);
   EXPECT_EQ(p->ip.ecn, Ecn::kCe);
 }
 

@@ -123,7 +123,7 @@ TEST(AllocationRegression, SteadyStateHopIsAllocationFree) {
 /// Sharded fat-tree slice: a k=4 fabric (16 hosts, 8 edge shards) with
 /// one long-lived cross-shard DCTCP flow per host, driven through the
 /// same conservative drain/run epoch protocol the ShardGroup workers
-/// execute.  Proves the wheel and packet-train paths stay
+/// execute.  Proves the wheel and pooled-packet paths stay
 /// allocation-free under PDES epochs — window-boundary run_until jumps,
 /// cross-shard inbox pushes at tx-complete, and inbox drains included —
 /// not just in the single-context dumbbell.
@@ -180,7 +180,7 @@ TEST(AllocationRegression, ShardedSteadyStateEpochsAreAllocationFree) {
   };
 
   // Warm-up: handshakes, slow start, and every grow-only structure
-  // (wheel slab, flight rings, inbox rings, pools) reaching its peak.
+  // (wheel slab, inbox rings, pools) reaching its peak.
   run_epochs_until(sim::milliseconds(20));
 
   std::uint64_t events_before = 0;
@@ -202,11 +202,13 @@ TEST(AllocationRegression, ShardedSteadyStateEpochsAreAllocationFree) {
 }
 
 /// Pool conservation on the same k=4 DCTCP permutation, stopped
-/// mid-run: a part's outstanding pool blocks are its queued packets plus
-/// its pending cross-shard deliveries (HWatch is off, so no shim parks a
-/// SYN).  The second term is 0 at a window boundary on this
-/// uniform-latency fabric: every delivery drained at a window's start
-/// lands by its end.  Tearing the links down returns every block.
+/// mid-run right after a window's drain: a part's outstanding pool
+/// blocks are its queued packets, plus its packets in flight on a link
+/// (each riding a tx-complete or arrival event), plus the cross-shard
+/// deliveries that drain just scheduled (HWatch is off, so no shim
+/// parks a packet).  Tearing the links down leaves exactly the blocks
+/// held by pending events; destroying the context's scheduler returns
+/// those (BlockPool's destructor asserts it in debug builds).
 TEST(PoolConservation, EveryOutstandingBlockIsAQueuedPacket) {
   topo::ShardedFatTreeConfig tcfg;
   tcfg.k = 4;
@@ -246,25 +248,51 @@ TEST(PoolConservation, EveryOutstandingBlockIsAQueuedPacket) {
     }
     for (auto& part : tree.shards) part.ctx->scheduler().run_until(end);
   }
-
-  std::uint64_t queued_total = 0;
-  for (std::size_t s = 0; s < shards; ++s) {
-    std::uint64_t queued = 0;
-    for (const auto& link : tree.shards[s].net->links()) {
-      queued += link->qdisc().len_packets();
+  // The next window's drain: every delivery it schedules is pending.
+  const auto drained = [](const topo::Part& part) {
+    std::uint64_t n = 0;
+    for (const net::CrossShardChannel* ch : part.ingress) {
+      n += ch->inbox().popped();
     }
-    EXPECT_EQ(tree.shards[s].ctx->packet_pool().stats().outstanding, queued)
+    return n;
+  };
+  std::vector<std::uint64_t> held_by_events(shards);
+  std::uint64_t queued_total = 0;
+  std::uint64_t in_flight_total = 0;
+  std::uint64_t pending_total = 0;
+  for (std::size_t s = 0; s < shards; ++s) {
+    topo::Part& part = tree.shards[s];
+    const std::uint64_t popped_before = drained(part);
+    net::drain_cross_shard_channels(part.ingress, scratch);
+    const std::uint64_t pending = drained(part) - popped_before;
+    std::uint64_t queued = 0;
+    std::uint64_t in_flight = 0;
+    for (const auto& link : part.net->links()) {
+      queued += link->qdisc().len_packets();
+      in_flight += link->in_flight();
+    }
+    EXPECT_EQ(part.ctx->packet_pool().stats().outstanding,
+              queued + in_flight + pending)
         << "part " << s;
+    held_by_events[s] = in_flight + pending;
     queued_total += queued;
+    in_flight_total += in_flight;
+    pending_total += pending;
   }
   EXPECT_GT(queued_total, 0u) << "stopped with every queue empty";
+  EXPECT_GT(in_flight_total, 0u) << "stopped with every link idle";
+  EXPECT_GT(pending_total, 0u) << "stopped with every inbox empty";
 
-  // Flows first (they reference the networks), then each part's links.
+  // Flows first (they reference the networks), then each part's links;
+  // the pending events still hold their blocks until the context's
+  // scheduler goes.
   tms.clear();
   for (std::size_t s = 0; s < shards; ++s) {
     tree.shards[s].net.reset();
-    EXPECT_EQ(tree.shards[s].ctx->packet_pool().stats().outstanding, 0u)
+    EXPECT_EQ(tree.shards[s].ctx->packet_pool().stats().outstanding,
+              held_by_events[s])
         << "part " << s;
+    tree.shards[s].ctx.reset();
   }
 }
 

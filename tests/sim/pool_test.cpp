@@ -1,5 +1,5 @@
-// BlockPool / PoolPtr: free-list recycling, RAII
-// lifecycle, stats accounting, and the opt-in MetricsRegistry exposure.
+// BlockPool / PoolPtr: free-list recycling, RAII lifecycle and stats
+// accounting.
 #include "sim/pool.hpp"
 
 #include <gtest/gtest.h>
@@ -90,22 +90,6 @@ TEST(SimContextPoolTest, PacketPoolFitsAndRecycles) {
   auto q = ctx.packet_pool().make<int>(6);
   EXPECT_EQ(ctx.packet_pool().stats().hits, 1u);
   EXPECT_EQ(ctx.packet_pool().stats().misses, 1u);
-}
-
-TEST(SimContextPoolTest, PublishPoolMetricsIsOptIn) {
-  hwatch::sim::SimContext ctx(1);
-  ctx.metrics().set_enabled(true);
-  {
-    auto warm = ctx.packet_pool().make<int>(0);  // miss before binding
-  }
-  ctx.publish_pool_metrics();  // seeds counters with totals so far
-  EXPECT_EQ(ctx.metrics().counter("pool.packet.hit").value(), 0u);
-  EXPECT_EQ(ctx.metrics().counter("pool.packet.miss").value(), 1u);
-  {
-    auto p = ctx.packet_pool().make<int>(1);  // hit, ticks live counter
-  }
-  EXPECT_EQ(ctx.metrics().counter("pool.packet.hit").value(), 1u);
-  EXPECT_EQ(ctx.metrics().counter("pool.packet.miss").value(), 1u);
 }
 
 }  // namespace

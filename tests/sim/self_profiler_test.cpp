@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <sstream>
 
 namespace hwatch::sim {
@@ -78,18 +77,6 @@ TEST(SelfProfiler, BucketBoundsAreAscending) {
   for (std::size_t i = 1; i < bounds.size(); ++i) {
     EXPECT_LT(bounds[i - 1], bounds[i]);
   }
-}
-
-TEST(ProgressMeter, EnvEnabledSemantics) {
-  ::unsetenv("HWATCH_PROGRESS");
-  EXPECT_FALSE(ProgressMeter::env_enabled());
-  ::setenv("HWATCH_PROGRESS", "", 1);
-  EXPECT_FALSE(ProgressMeter::env_enabled());
-  ::setenv("HWATCH_PROGRESS", "0", 1);
-  EXPECT_FALSE(ProgressMeter::env_enabled());
-  ::setenv("HWATCH_PROGRESS", "1", 1);
-  EXPECT_TRUE(ProgressMeter::env_enabled());
-  ::unsetenv("HWATCH_PROGRESS");
 }
 
 TEST(ProgressMeter, TickCountsUnits) {

@@ -253,7 +253,8 @@ TEST(ShardTelemetryTest, WorkerExportEscapesProcessName) {
 TEST(ShardTelemetryTest, BudgetEnvParsing) {
   // The run path reads HWATCH_EPOCH_BUDGET_MS before it builds anything;
   // a value that is not a positive integer is an error naming the
-  // variable and the value, never a silently disabled watchdog.
+  // variable and the value, never a silently disabled watchdog.  The
+  // boolean flags follow the same rule.
   api::FatTreeScenarioConfig cfg;
   cfg.k = 4;
   cfg.flows_per_host = 1;
@@ -278,6 +279,25 @@ TEST(ShardTelemetryTest, BudgetEnvParsing) {
   ::setenv("HWATCH_EPOCH_BUDGET_MS", "600000", 1);
   EXPECT_NO_THROW((void)api::run_fat_tree_sharded(cfg));
   ::unsetenv("HWATCH_EPOCH_BUDGET_MS");
+  // The boolean flags are read at the same point: only "", "0" and "1"
+  // are values, so "no" is an error rather than switching the flag on.
+  for (const char* var : {"HWATCH_PROFILE", "HWATCH_INCIDENTS",
+                          "HWATCH_FLIGHT_DUMP", "HWATCH_PROGRESS"}) {
+    for (const char* bad : {"no", "true", "2"}) {
+      ::setenv(var, bad, 1);
+      try {
+        (void)api::run_fat_tree_sharded(cfg);
+        ADD_FAILURE() << "no error for " << var << "=" << bad;
+      } catch (const std::invalid_argument& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(var), std::string::npos) << what;
+        EXPECT_NE(what.find(std::string("\"") + bad + "\""),
+                  std::string::npos)
+            << what;
+      }
+    }
+    ::unsetenv(var);
+  }
 }
 
 // ---- flight dumps through the real ShardGroup ------------------------

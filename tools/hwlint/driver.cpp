@@ -142,13 +142,14 @@ bool Allowlist::excluded(const std::string& rel) const {
   return false;
 }
 
+bool AllowEntry::matches(const std::string& rel,
+                         const std::string& r) const {
+  return (rule == "*" || rule == r) && glob_match(glob, rel);
+}
+
 bool Allowlist::allowed(const std::string& rel, const std::string& rule) const {
-  for (const AllowEntry& e : allows) {
-    if ((e.rule == "*" || e.rule == rule) && glob_match(e.glob, rel)) {
-      return true;
-    }
-  }
-  return false;
+  return std::any_of(allows.begin(), allows.end(),
+                     [&](const AllowEntry& e) { return e.matches(rel, rule); });
 }
 
 bool parse_allowlist(std::string_view text, Allowlist& out, std::string& err) {
@@ -164,6 +165,7 @@ bool parse_allowlist(std::string_view text, Allowlist& out, std::string& err) {
     if (!(ls >> verb)) continue;  // blank / comment-only
     if (verb == "allow") {
       AllowEntry e;
+      e.line = lineno;
       if (!(ls >> e.rule >> e.glob)) {
         err = "allowlist line " + std::to_string(lineno) +
               ": expected `allow <rule> <glob>`";
@@ -325,8 +327,17 @@ int run_lint(const Options& opts, Report& report, std::ostream& err) {
 
   report.files_scanned = entries.size();
   report.suppressed = graph_suppressed;
+  // An allow line is used when it matches at least one violation.
+  std::vector<bool> used(allow.allows.size(), false);
   auto admit = [&](Violation& v) {
-    if (allow.allowed(v.file, v.rule)) {
+    bool allowed = false;
+    for (std::size_t i = 0; i < allow.allows.size(); ++i) {
+      if (allow.allows[i].matches(v.file, v.rule)) {
+        used[i] = true;
+        allowed = true;
+      }
+    }
+    if (allowed) {
       ++report.allowlisted;
     } else {
       report.violations.push_back(std::move(v));
@@ -337,6 +348,20 @@ int run_lint(const Options& opts, Report& report, std::ostream& err) {
     for (Violation& v : e.violations) admit(v);
   }
   for (Violation& v : graph_violations) admit(v);
+  // Only a whole-tree scan sees every violation an entry could match.
+  if (opts.paths.empty()) {
+    const std::string allow_rel = to_rel(allow_path, root);
+    for (std::size_t i = 0; i < allow.allows.size(); ++i) {
+      if (used[i]) continue;
+      const AllowEntry& a = allow.allows[i];
+      report.violations.push_back(
+          {allow_rel, a.line, std::string(kRuleBadSuppression),
+           std::string(kPassToken),
+           "allowlist entry `allow " + a.rule + " " + a.glob +
+               "` silences nothing; delete it",
+           ""});
+    }
+  }
 
   std::sort(report.violations.begin(), report.violations.end(),
             [](const Violation& a, const Violation& b) {

@@ -27,24 +27,25 @@
 //   nondeterminism     std::random_device, rand()/srand(), time()/clock(),
 //                      std::chrono::{system,steady,high_resolution}_clock,
 //                      gettimeofday/clock_gettime/getrandom anywhere in
-//                      the tree.  Wall-clock reads are only legitimate in
-//                      sim/random (the seeded entropy root), the manifest
-//                      `environment` section, and bench wall timing — all
-//                      covered by the checked-in allowlist.
+//                      the tree.  Wall-clock reads are only legitimate
+//                      where the simulator measures itself (bench wall
+//                      timing, the self-profiler, shard telemetry, the
+//                      run's wall time) — covered by the checked-in
+//                      allowlist or an inline suppression.
 //
 //   hot-path-container std::function / std::deque / std::list / std::map
 //                      / std::multimap in the hot-path dirs (src/sim,
 //                      src/net, src/tcp, src/hwatch).  These either
 //                      allocate per element or force copyability and
 //                      heap spills; the repo provides UniqueFunction and
-//                      PacketRing instead.
+//                      net::Ring instead.
 //
 //   hot-path-alloc     raw `new` / `delete` (placement new and
 //                      `operator new` declarations are recognised and
 //                      permitted) and malloc/calloc/realloc/free in the
 //                      hot-path dirs.  Allocation goes through the
-//                      SimContext pools; the pool implementation itself
-//                      is allowlisted.
+//                      SimContext pools, whose `::operator new` calls
+//                      the rule already permits.
 //
 //   unordered-iter     iteration (range-for, .begin()/.cbegin()/...)
 //                      over a name declared anywhere in the tree as
@@ -64,9 +65,9 @@
 //                      sim::ShardGroup epoch barrier; any other shared
 //                      state silently breaks the byte-identical-
 //                      across-thread-counts invariant.  The sanctioned
-//                      implementations (shard_group, shard_channel, the
-//                      sweep thread pool, the self-profiler counter)
-//                      are covered by the checked-in allowlist.
+//                      implementations (shard_group, the sweep thread
+//                      pool, the self-profiler counter) are covered by
+//                      the checked-in allowlist.
 //
 //   mutable-global     mutable namespace-scope state (static,
 //                      thread_local, extern or anonymous-namespace
@@ -80,7 +81,12 @@
 //   bad-suppression    unparsable `hwlint:` markers, and `allow(...)`
 //                      lists naming a rule this binary does not know
 //                      (`allow(layerng)` must fail loudly, not silently
-//                      no-op), so typos cannot disable the gate.
+//                      no-op), so typos cannot disable the gate.  On a
+//                      default (whole-tree) scan, also every allowlist
+//                      `allow` line that silenced nothing: a stale entry
+//                      would pre-approve the next violation it matches.
+//                      Scans of explicit paths see only part of the
+//                      tree, so they skip this check.
 //
 // pass "include-graph" — whole-program, over resolved `#include "..."`
 // edges between files under src/:
@@ -289,6 +295,9 @@ std::vector<Violation> check_include_graph(
 struct AllowEntry {
   std::string rule;  // "*" matches every rule
   std::string glob;  // `*` matches any run of characters, `?` one
+  int line = 0;      // line in the allowlist file
+
+  bool matches(const std::string& rel_path, const std::string& rule) const;
 };
 
 struct Allowlist {
@@ -305,7 +314,7 @@ bool glob_match(std::string_view pattern, std::string_view path);
 
 /// Parses `allow <rule> <glob>` / `exclude <glob>` lines (# comments).
 /// Rule names must be known (or `*`).  Returns false (with a message in
-/// `err`) on malformed input.
+/// `err`) on malformed input.  Each entry records its line number.
 bool parse_allowlist(std::string_view text, Allowlist& out, std::string& err);
 
 struct Options {

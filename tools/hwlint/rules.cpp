@@ -182,7 +182,7 @@ void check_hot_path_container(const std::string& rel, const Toks& t,
             ? "a flat slab / wheel / sorted vector (a red-black tree "
               "allocates one node per insert — a std::map calendar "
               "queue would undo the scheduler's zero-alloc fast path)"
-            : "net::PacketRing / std::vector (deque and list allocate "
+            : "net::Ring / std::vector (deque and list allocate "
               "per node)";
     out.push_back(token_violation(
         rel, t[i].line, kRuleHotPathContainer,
